@@ -17,10 +17,11 @@
 //!
 //! **Bit-compatibility contract.** The engine is drop-in for the naive
 //! re-solve: `W*₋ᵢ` (and hence every payment) is bit-identical to
-//! `solve(inst.without_item(i), kind).objective`. This works because the
-//! engine never sums welfare from precomputed aggregates — it determines
-//! the reduced instance's *selected set* incrementally and then recomputes
-//! the objective exactly the way [`crate::wdp`] does: canonical
+//! `solve_view(&view.skipping(i), kind).objective` (see
+//! [`WdpView::skipping`]). This works because the engine never sums
+//! welfare from precomputed aggregates — it determines the reduced
+//! instance's *selected set* incrementally and then recomputes the
+//! objective exactly the way [`crate::wdp`] does: canonical
 //! ascending-index order, left-to-right float adds, identical candidate
 //! filter / grid rounding / budget-repair code. The differential suite
 //! (`tests/pivot_equivalence.rs`) pins this across all four constraint
@@ -42,9 +43,9 @@
 //! sets the welfares and payments need no longer agree at all.
 
 use crate::wdp::{
-    fill_preference_order, knapsack_cell, knapsack_gcost, knapsack_item_step_1d,
-    knapsack_item_step_2d, knapsack_width_2d, repair_overspend, solve_view, FlagTable, LooScratch,
-    SolverArena, SolverKind, WdpInstance, WdpView, DP_EPS,
+    fill_knapsack_candidates, fill_preference_order, knapsack_cell, knapsack_gcost,
+    knapsack_item_step_1d, knapsack_item_step_2d, knapsack_width_2d, repair_overspend, solve_view,
+    FlagTable, LooScratch, SolverArena, SolverKind, WdpInstance, WdpView, DP_EPS,
 };
 
 /// How `W*₋ᵢ` pivot welfares are computed for payments.
@@ -60,18 +61,8 @@ pub enum PaymentStrategy {
     Incremental,
 }
 
-/// [`leave_one_out_welfares_on`] on the [`par::Pool::auto`] pool.
-pub fn leave_one_out_welfares(
-    inst: &WdpInstance,
-    targets: &[usize],
-    kind: SolverKind,
-    strategy: PaymentStrategy,
-) -> Vec<f64> {
-    leave_one_out_welfares_on(inst, targets, kind, strategy, par::Pool::auto())
-}
-
-/// Computes `W*₋ᵢ = solve(inst.without_item(i), kind).objective` for every
-/// `i` in `targets` (indices into `inst.items`), in target order.
+/// Computes `W*₋ᵢ`, the optimum of `inst` without item `i`, for every `i`
+/// in `targets` (indices into `inst.items`), in target order.
 ///
 /// With `PaymentStrategy::Incremental` the result is bit-identical to the
 /// naive per-target re-solve (see module docs) at a fraction of the cost.
@@ -90,8 +81,7 @@ pub fn leave_one_out_welfares_on(
 /// [`leave_one_out_welfares_on`] generalized to a sub-instance view:
 /// `W*₋ᵢ` of the view with target `i` (a parent index that must be a view
 /// member) excluded. This is what the shard pipeline (`crate::shard`) runs
-/// per shard and over the champion pool, and what lets the naive engine
-/// skip an item without the O(n) `without_item` clone.
+/// per shard and over the champion pool.
 pub fn leave_one_out_welfares_view_on(
     view: &WdpView<'_>,
     targets: &[usize],
@@ -132,10 +122,7 @@ pub fn leave_one_out_welfares_view_into(
     // telemetry is enabled; records only wall time, never an output bit.
     let _pivots_span = telemetry::hist!("solve.pivots_ns").span();
     match strategy {
-        PaymentStrategy::Naive => {
-            out.clear();
-            out.append(&mut naive_loo(view, targets, kind, pool));
-        }
+        PaymentStrategy::Naive => naive_loo(view, targets, kind, pool, arena, out),
         PaymentStrategy::Incremental => match (view.budget(), kind) {
             (None, SolverKind::Exact) | (None, SolverKind::Knapsack { .. }) => {
                 topk_loo(view, targets, pool, arena, out)
@@ -150,25 +137,33 @@ pub fn leave_one_out_welfares_view_into(
             (Some(_), SolverKind::Exact) if view.len() > 26 => {
                 merge_loo(view, targets, 4000, kind, pool, arena, out)
             }
-            _ => {
-                out.clear();
-                out.append(&mut naive_loo(view, targets, kind, pool));
-            }
+            _ => naive_loo(view, targets, kind, pool, arena, out),
         },
     }
 }
 
 /// The reference engine: one full re-solve per excluded target, each on an
-/// allocation-free skip view (bit-identical to re-solving the materialized
-/// `without_item` clone — same item sequence, same float order).
-fn naive_loo(view: &WdpView<'_>, targets: &[usize], kind: SolverKind, pool: par::Pool) -> Vec<f64> {
-    pool.map(targets, |&i| solve_view(&view.skipping(i), kind).objective)
+/// allocation-free skip view, with one arena per worker.
+fn naive_loo(
+    view: &WdpView<'_>,
+    targets: &[usize],
+    kind: SolverKind,
+    pool: par::Pool,
+    arena: &mut SolverArena,
+    out: &mut Vec<f64>,
+) {
+    let resolve = |arena: &mut SolverArena, ti: usize| {
+        arena
+            .solve_view(&view.skipping(targets[ti]), kind)
+            .objective
+    };
+    pool.run_with(targets.len(), arena, SolverArena::default, out, resolve);
 }
 
 /// Incremental engine for instances without a budget constraint.
 ///
-/// `top_k` sorts the positive-weight items by descending weight (index
-/// ascending on ties — the stable order) and truncates; removing any
+/// The top-K solve sorts the positive-weight items by descending weight
+/// (index ascending on ties — the stable order) and truncates; removing any
 /// single item never changes the relative order of the rest, so every
 /// reduced optimum reads directly off the full order: the surviving top-K
 /// plus (when the cap was binding) the first displaced candidate.
@@ -266,13 +261,6 @@ fn merge_loo(
 ) {
     let budget = view.budget().expect("merge engine requires a budget");
     assert!(grid >= 1, "grid must be at least 1");
-    for i in view.indices() {
-        let it = view.item(i);
-        assert!(
-            it.cost.is_finite() && it.cost >= 0.0,
-            "knapsack requires non-negative finite costs"
-        );
-    }
     let SolverArena {
         cand,
         gcosts,
@@ -286,13 +274,9 @@ fn merge_loo(
         loo,
         ..
     } = arena;
-    // Same filter as `wdp::knapsack_candidates`, into the arena's SoA
-    // lane — both engines must see the exact same item roster.
-    cand.clear();
-    cand.extend(
-        view.indices()
-            .filter(|&i| view.item(i).weight > 0.0 && view.item(i).cost <= budget + 1e-12),
-    );
+    // The solver's own candidate filter — both engines must see the exact
+    // same item roster.
+    fill_knapsack_candidates(view, budget, cand);
     let m = cand.len();
 
     // The reduced instance drops one candidate, so its DP geometry is
@@ -324,15 +308,14 @@ fn merge_loo(
     snap_pos.dedup();
     let cells = rows * width;
     if m.saturating_mul(cells) > (1 << 28) || snap_pos.len().saturating_mul(cells) > (1 << 24) {
-        out.clear();
-        out.append(&mut naive_loo(view, targets, kind, pool));
+        naive_loo(view, targets, kind, pool, &mut SolverArena::new(), out);
         return;
     }
 
     // Any target that is not a knapsack candidate leaves the DP unchanged:
     // its reduced optimum is the full optimum (computed over the same
     // candidate roster, hence the same floats). Cold path — LOVM targets
-    // are winners, which are always candidates — so the extra legacy
+    // are winners, which are always candidates — so the extra fresh-arena
     // solve's allocations don't touch the steady state.
     let full_objective = if targets.iter().any(|&t| cand.binary_search(&t).is_err()) {
         solve_view(view, SolverKind::Knapsack { grid }).objective
@@ -467,8 +450,8 @@ fn merge_loo(
 
 /// One knapsack DP item update (shared by both sweeps): the classic
 /// reverse-cell relaxation, with a count dimension when `kmax` is set.
-/// Identical update rule and epsilon to `wdp::knapsack`, executed through
-/// the shared hot kernels (`wdp::knapsack_item_step_{1d,2d}`: saturated
+/// Identical update rule and epsilon to the solver's knapsack, executed
+/// through the shared hot kernels (`wdp::knapsack_item_step_{1d,2d}`: saturated
 /// high-span splat, branchy compare span, word-grouped traceback bits).
 /// `sat` is the caller-tracked saturation index (capped running sum of
 /// processed items' grid costs); returns the advanced value.

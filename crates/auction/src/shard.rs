@@ -33,7 +33,9 @@
 //! always degrades to the monolithic path exactly.
 
 use crate::pivots::{leave_one_out_welfares_view_into, PaymentStrategy};
-use crate::wdp::{SolverArena, SolverKind, WdpInstance, WdpSolution, WdpView};
+use crate::wdp::{
+    fill_preference_order, SolverArena, SolverKind, WdpInstance, WdpSolution, WdpView,
+};
 
 /// Name of the environment variable selecting the default shard count for
 /// the LOVM round loop (`LOVM_SHARDS=8`; unset or `1` mean monolithic;
@@ -185,7 +187,8 @@ fn first_displaced(view: &WdpView<'_>, selected: &[usize]) -> Option<usize> {
         // No budget: the (K+1)-th entry of the preference order. Including
         // it is what makes top-K reconciliation exact (see module docs).
         None => {
-            let order = crate::wdp::preference_order(view);
+            let mut order = Vec::new();
+            fill_preference_order(view, &mut order);
             let k = view.max_winners().unwrap_or(view.len());
             order.get(k).copied()
         }

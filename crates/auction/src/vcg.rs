@@ -18,17 +18,18 @@
 
 use crate::bid::Bid;
 use crate::outcome::{AuctionOutcome, Award};
-use crate::pivots::{leave_one_out_welfares_on, leave_one_out_welfares_view_into, PaymentStrategy};
-use crate::shard::{solve_sharded_arena_on, solve_sharded_on, MarketTopology};
+use crate::pivots::{leave_one_out_welfares_view_into, PaymentStrategy};
+use crate::shard::{solve_sharded_arena_on, MarketTopology};
 use crate::valuation::Valuation;
-use crate::wdp::{solve, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView};
+use crate::wdp::{SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView};
 
-/// Reusable workspace for the streamed round loop: the solver arena plus
-/// the instance/solution/welfare buffers one auction round churns through.
-/// `core::Lovm` keeps one alive across rounds, which is what makes a
-/// sustained `lovm stream` / `serve` session allocate nothing per sealed
-/// round inside the solver (the returned [`AuctionOutcome`] still owns its
-/// award vector — that is the API's output, not solver scratch).
+/// Reusable workspace for an auction round: the solver arena plus the
+/// instance/solution/welfare buffers one round churns through. Every
+/// `VcgAuction` entry point runs on one; the allocating ones pass a fresh
+/// scratch. `core::Lovm` keeps one alive across rounds, which is what
+/// makes a sustained `lovm stream` / `serve` session allocate nothing per
+/// sealed round inside the solver (the returned [`AuctionOutcome`] still
+/// owns its award vector — that is the API's output, not solver scratch).
 #[derive(Debug, Clone, Default)]
 pub struct RoundScratch {
     arena: SolverArena,
@@ -115,27 +116,6 @@ impl VcgAuction {
         &self.config
     }
 
-    /// Winner determination plus leave-one-out pivot welfares under the
-    /// configured market topology. Monolithic (and single-shard) rounds
-    /// take the direct solve + pivot path; larger shard counts run the
-    /// partition → per-shard solve → champion-reconciliation pipeline.
-    fn solve_and_pivots(
-        &self,
-        inst: &WdpInstance,
-        kind: SolverKind,
-        strategy: PaymentStrategy,
-        pool: par::Pool,
-    ) -> (WdpSolution, Vec<f64>) {
-        if self.config.topology.effective_shards(inst.items.len()) <= 1 {
-            let sol = solve(inst, kind);
-            let w_minus = leave_one_out_welfares_on(inst, &sol.selected, kind, strategy, pool);
-            (sol, w_minus)
-        } else {
-            let round = solve_sharded_on(inst, kind, self.config.topology, strategy, pool);
-            (round.solution, round.loo_welfares)
-        }
-    }
-
     /// The WDP item for one bid: its virtual-welfare score and money cost.
     /// Bids whose reported cost exceeds the reserve price get weight
     /// −∞-like exclusion (never selected).
@@ -155,49 +135,23 @@ impl VcgAuction {
 
     /// Builds the winner-determination instance for the given bids.
     pub fn instance(&self, bids: &[Bid], valuation: &Valuation) -> WdpInstance {
-        let items = bids.iter().map(|b| self.item_for(b, valuation)).collect();
+        self.instance_in(Vec::new(), bids, valuation)
+    }
+
+    /// [`VcgAuction::instance`] built inside a recycled item buffer.
+    fn instance_in(
+        &self,
+        mut items: Vec<WdpItem>,
+        bids: &[Bid],
+        valuation: &Valuation,
+    ) -> WdpInstance {
+        items.clear();
+        items.extend(bids.iter().map(|b| self.item_for(b, valuation)));
         let mut inst = WdpInstance::new(items);
         if let Some(k) = self.config.max_winners {
             inst = inst.with_max_winners(k);
         }
         inst
-    }
-
-    /// Clarke awards for a solved no-budget round: `p_i = c_i + pivot/Q`,
-    /// reserve-capped. Shared by [`VcgAuction::run_with_strategy_on`] and
-    /// the scratch path so both produce the identical float sequence.
-    fn awards(
-        &self,
-        bids: &[Bid],
-        valuation: &Valuation,
-        sol: &WdpSolution,
-        w_minus: &[f64],
-    ) -> AuctionOutcome {
-        let w_star = sol.objective;
-        let q = self.config.cost_weight;
-        let winners = sol
-            .selected
-            .iter()
-            .zip(w_minus)
-            .map(|(&i, &w_minus_i)| {
-                let bid = &bids[i];
-                // Exact top-K gives W* ≥ W*₋ᵢ; the clamp only absorbs
-                // last-ulp float noise when the pivot is a mathematical tie.
-                let pivot = (w_star - w_minus_i).max(0.0);
-                let mut payment = bid.cost + pivot / q;
-                // The reserve caps the critical report, hence the payment.
-                if let Some(r) = self.config.reserve_price {
-                    payment = payment.min(r);
-                }
-                Award {
-                    bidder: bid.bidder,
-                    cost: bid.cost,
-                    value: valuation.client_value(bid),
-                    payment,
-                }
-            })
-            .collect();
-        AuctionOutcome::new(winners, w_star)
     }
 
     /// Runs the auction: exact winner determination plus Clarke payments.
@@ -231,65 +185,32 @@ impl VcgAuction {
         strategy: PaymentStrategy,
         pool: par::Pool,
     ) -> AuctionOutcome {
-        let inst = self.instance(bids, valuation);
-        let (sol, w_minus) = self.solve_and_pivots(&inst, SolverKind::Exact, strategy, pool);
-        self.awards(bids, valuation, &sol, &w_minus)
+        let scratch = &mut RoundScratch::new();
+        self.clear_on(bids, valuation, None, strategy, pool, scratch)
     }
 
-    /// [`VcgAuction::run_with_strategy_on`] through a caller-recycled
-    /// [`RoundScratch`]: the same auction, the same payments bit for bit,
-    /// with the instance build, winner determination, and pivot welfares
-    /// all running on recycled buffers. A monolithic caller that keeps the
-    /// scratch across rounds reaches zero steady-state solver allocations
-    /// per round; sharded topologies get per-worker arenas (correctness
-    /// under `LOVM_THREADS`, not zero-alloc — scoped workers cannot
-    /// persist buffers across rounds).
+    /// [`VcgAuction::run`] through a caller-recycled [`RoundScratch`] and
+    /// an explicit worker pool: the same auction, the same payments bit for
+    /// bit. A monolithic caller that keeps the scratch across rounds
+    /// reaches zero steady-state solver allocations per round; sharded
+    /// topologies get per-worker arenas (correctness under `LOVM_THREADS`,
+    /// not zero-alloc — scoped workers cannot persist buffers across
+    /// rounds).
     pub fn run_with_scratch_on(
         &self,
         bids: &[Bid],
         valuation: &Valuation,
-        strategy: PaymentStrategy,
         pool: par::Pool,
         scratch: &mut RoundScratch,
     ) -> AuctionOutcome {
-        // Rebuild the instance inside the recycled item buffer; it is
-        // moved back into the scratch before returning.
-        let mut items = std::mem::take(&mut scratch.items);
-        items.clear();
-        items.extend(bids.iter().map(|b| self.item_for(b, valuation)));
-        let mut inst = WdpInstance::new(items);
-        if let Some(k) = self.config.max_winners {
-            inst = inst.with_max_winners(k);
-        }
-        let kind = SolverKind::Exact;
-        let outcome = if self.config.topology.effective_shards(inst.items.len()) <= 1 {
-            let view = WdpView::full(&inst);
-            scratch
-                .arena
-                .solve_view_into(&view, kind, &mut scratch.solution);
-            leave_one_out_welfares_view_into(
-                &view,
-                &scratch.solution.selected,
-                kind,
-                strategy,
-                pool,
-                &mut scratch.arena,
-                &mut scratch.welfares,
-            );
-            self.awards(bids, valuation, &scratch.solution, &scratch.welfares)
-        } else {
-            let round = solve_sharded_arena_on(
-                &inst,
-                kind,
-                self.config.topology,
-                strategy,
-                pool,
-                &mut scratch.arena,
-            );
-            self.awards(bids, valuation, &round.solution, &round.loo_welfares)
-        };
-        scratch.items = inst.items;
-        outcome
+        self.clear_on(
+            bids,
+            valuation,
+            None,
+            PaymentStrategy::Incremental,
+            pool,
+            scratch,
+        )
     }
 
     /// Runs the auction with an arbitrary (budget-capped) instance and the
@@ -349,23 +270,104 @@ impl VcgAuction {
         strategy: PaymentStrategy,
         pool: par::Pool,
     ) -> AuctionOutcome {
-        let inst = self.instance(bids, valuation).with_budget(budget);
-        // Each winner's pivot needs the optimum of the instance without it
-        // — the round's dominant cost, and the engine's whole reason to
-        // exist.
-        let (sol, w_minus) = self.solve_and_pivots(&inst, solver, strategy, pool);
+        let scratch = &mut RoundScratch::new();
+        let budgeted = Some((budget, solver));
+        self.clear_on(bids, valuation, budgeted, strategy, pool, scratch)
+    }
+
+    /// The one auction path behind every entry point: build the instance
+    /// in the scratch's item buffer, solve it and its leave-one-out pivots
+    /// under the configured topology, and award Clarke payments.
+    /// `budgeted` is the budget cap with the solver to meet it; `None` is
+    /// the exact no-budget round.
+    fn clear_on(
+        &self,
+        bids: &[Bid],
+        valuation: &Valuation,
+        budgeted: Option<(f64, SolverKind)>,
+        strategy: PaymentStrategy,
+        pool: par::Pool,
+        scratch: &mut RoundScratch,
+    ) -> AuctionOutcome {
+        let mut inst = self.instance_in(std::mem::take(&mut scratch.items), bids, valuation);
+        let mut kind = SolverKind::Exact;
+        if let Some((budget, solver)) = budgeted {
+            inst = inst.with_budget(budget);
+            kind = solver;
+        }
+        self.solve_and_pivots(&inst, kind, strategy, pool, scratch);
+        scratch.items = inst.items;
+        self.awards(bids, valuation, &scratch.solution, &scratch.welfares)
+    }
+
+    /// Winner determination plus leave-one-out pivot welfares under the
+    /// configured market topology, into `scratch.solution` and
+    /// `scratch.welfares`. Monolithic (and single-shard) rounds take the
+    /// direct solve + pivot path on the scratch's arena; larger shard
+    /// counts run the partition → per-shard solve →
+    /// champion-reconciliation pipeline.
+    fn solve_and_pivots(
+        &self,
+        inst: &WdpInstance,
+        kind: SolverKind,
+        strategy: PaymentStrategy,
+        pool: par::Pool,
+        scratch: &mut RoundScratch,
+    ) {
+        if self.config.topology.effective_shards(inst.items.len()) <= 1 {
+            let view = WdpView::full(inst);
+            scratch
+                .arena
+                .solve_view_into(&view, kind, &mut scratch.solution);
+            leave_one_out_welfares_view_into(
+                &view,
+                &scratch.solution.selected,
+                kind,
+                strategy,
+                pool,
+                &mut scratch.arena,
+                &mut scratch.welfares,
+            );
+        } else {
+            let round = solve_sharded_arena_on(
+                inst,
+                kind,
+                self.config.topology,
+                strategy,
+                pool,
+                &mut scratch.arena,
+            );
+            scratch.solution = round.solution;
+            scratch.welfares = round.loo_welfares;
+        }
+    }
+
+    /// Clarke awards for a solved round: `p_i = c_i + pivot/Q`,
+    /// reserve-capped.
+    fn awards(
+        &self,
+        bids: &[Bid],
+        valuation: &Valuation,
+        sol: &WdpSolution,
+        w_minus: &[f64],
+    ) -> AuctionOutcome {
         let w_star = sol.objective;
         let q = self.config.cost_weight;
         let winners = sol
             .selected
             .iter()
             .zip(w_minus)
-            .map(|(&i, w_minus_i)| {
+            .map(|(&i, &w_minus_i)| {
                 let bid = &bids[i];
-                // With an exact solver the pivot is in [0, w_i]; clamp at 0
-                // to stay IR if an approximate solver is supplied anyway.
+                // An exact solver gives W* ≥ W*₋ᵢ; the clamp only absorbs
+                // last-ulp float noise when the pivot is a mathematical
+                // tie, and keeps IR if an approximate solver is supplied.
                 let pivot = (w_star - w_minus_i).max(0.0);
-                let payment = bid.cost + pivot / q;
+                let mut payment = bid.cost + pivot / q;
+                // The reserve caps the critical report, hence the payment.
+                if let Some(r) = self.config.reserve_price {
+                    payment = payment.min(r);
+                }
                 Award {
                     bidder: bid.bidder,
                     cost: bid.cost,
@@ -552,6 +554,19 @@ mod tests {
                 report.max_gain()
             );
         }
+    }
+
+    #[test]
+    fn reserve_caps_budgeted_payment() {
+        // A loose budget leaves the pivot at c + w = 2 + 8 = 10; budgeted
+        // clears honor the reserve cap like the top-K path does.
+        let bids = vec![bid(0, 2.0, 10)];
+        let auction = VcgAuction::new(VcgConfig {
+            reserve_price: Some(5.0),
+            ..VcgConfig::default()
+        });
+        let o = auction.run_with_budget(&bids, &linear(), 100.0, SolverKind::Exhaustive);
+        assert_eq!(o.payment_of(0), Some(5.0));
     }
 
     #[test]

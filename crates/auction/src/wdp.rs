@@ -8,7 +8,8 @@
 //! Exact solutions are required for VCG truthfulness; this module provides
 //! exact solvers for every constraint combination used by LOVM, plus a
 //! greedy approximation and a fractional upper bound used by baselines and
-//! the experiment harness.
+//! the experiment harness. Every solve runs on one kernel, [`SolverArena`];
+//! the free [`solve`]/[`solve_view`] are wrappers over a fresh arena.
 
 /// Strict-improvement epsilon of every DP/scan comparison in the solver
 /// stack: a candidate value only replaces an incumbent when it exceeds it
@@ -91,22 +92,6 @@ impl WdpInstance {
     pub fn feasible(&self, selected: &[usize]) -> bool {
         WdpView::full(self).feasible(selected)
     }
-
-    /// Returns the instance with item `idx` removed (for Clarke pivots).
-    ///
-    /// This materializes a new `Vec` of items; the hot paths (the naive
-    /// pivot engine, the shard pipeline) use the allocation-free
-    /// [`WdpView`] instead — `WdpView::full(inst).skipping(idx)` visits
-    /// exactly the same item sequence without the O(n) clone.
-    pub fn without_item(&self, idx: usize) -> WdpInstance {
-        let mut items = self.items.clone();
-        items.remove(idx);
-        WdpInstance {
-            items,
-            max_winners: self.max_winners,
-            budget: self.budget,
-        }
-    }
 }
 
 /// A borrowed sub-instance: a subset of a parent instance's items
@@ -115,11 +100,11 @@ impl WdpInstance {
 /// Every solver in this module runs on views; [`solve`] is the
 /// whole-instance wrapper. Views exist for two reasons:
 ///
-/// * **Leave-one-out pivots** — `WdpView::full(inst).skipping(i)` visits
-///   the same item sequence as `inst.without_item(i)` with zero
-///   allocation, and because the surviving parent indices map
-///   monotonically, every float is added in the same order: solving the
-///   view is *bit-identical* to solving the cloned instance.
+/// * **Leave-one-out pivots** — [`WdpView::skipping`] drops one item with
+///   zero allocation. The surviving parent indices keep their ascending
+///   order, so every float is added in the same order as in a solve of the
+///   instance with that item removed: `W*₋ᵢ` is defined as the objective
+///   of `solve_view(&WdpView::full(inst).skipping(i), kind)`.
 /// * **Sharding** (`crate::shard`) — a shard or a champion pool is an
 ///   ascending index subset of the full market; solving the view returns
 ///   parent indices directly, so shard solutions and reconciliation
@@ -317,34 +302,11 @@ pub fn solve(inst: &WdpInstance, kind: SolverKind) -> WdpSolution {
     solve_view(&WdpView::full(inst), kind)
 }
 
-/// Solves a winner-determination sub-instance view. `selected` in the
-/// returned solution holds **parent indices**.
-///
-/// `SolverKind::Exact` dispatches to:
-/// * top-K selection when no budget constraint is present (exact),
-/// * exhaustive search when ≤ 25 items (exact),
-/// * knapsack DP with a fine grid otherwise (exact up to cost rounding;
-///   rounding is upward so the returned selection is always feasible).
-///
-/// # Panics
-///
-/// Panics if `Exhaustive` is requested for more than 25 items, or item
-/// costs are negative/non-finite when a budget constraint is present.
+/// Solves a winner-determination sub-instance view on a fresh
+/// [`SolverArena`] (see [`SolverArena::solve_view_into`] for the dispatch).
+/// Callers that solve repeatedly should keep an arena instead.
 pub fn solve_view(view: &WdpView<'_>, kind: SolverKind) -> WdpSolution {
-    let _solve_span = solver_kind_hist(kind).span();
-    match kind {
-        SolverKind::Exact => match view.budget() {
-            None => top_k(view),
-            Some(_) if view.len() <= 25 => exhaustive(view),
-            Some(_) => knapsack(view, 4000),
-        },
-        SolverKind::Exhaustive => exhaustive(view),
-        SolverKind::Knapsack { grid } => match view.budget() {
-            Some(_) => knapsack(view, grid),
-            None => top_k(view),
-        },
-        SolverKind::GreedyDensity => greedy_density(view),
-    }
+    SolverArena::new().solve_view(view, kind)
 }
 
 /// The per-`SolverKind` WDP latency histogram (`solve.wdp.<kind>_ns`).
@@ -359,18 +321,11 @@ fn solver_kind_hist(kind: SolverKind) -> &'static telemetry::Histogram {
     }
 }
 
-/// Preference order of the no-budget solver: positive-weight items,
-/// stable-sorted by descending weight (parent indices). Shared with the
-/// incremental pivot engine (`crate::pivots`), whose bit-identity contract
-/// depends on using exactly this filter and comparator — keep the two in
-/// lockstep.
-pub(crate) fn preference_order(view: &WdpView<'_>) -> Vec<usize> {
-    let mut order = Vec::new();
-    fill_preference_order(view, &mut order);
-    order
-}
-
-/// [`preference_order`] into a caller-recycled buffer (cleared first).
+/// Preference order of the no-budget solver into a caller-recycled buffer
+/// (cleared first): positive-weight items by descending weight (parent
+/// indices). Shared with the incremental pivot engine (`crate::pivots`)
+/// and the shard pipeline, whose bit-identity contracts depend on using
+/// exactly this filter and comparator.
 ///
 /// The comparator is (weight descending, parent index ascending). Because
 /// the candidates enter the buffer in ascending parent-index order, that
@@ -388,15 +343,6 @@ pub(crate) fn fill_preference_order(view: &WdpView<'_>, order: &mut Vec<usize>) 
             .expect("weights are finite")
             .then_with(|| a.cmp(&b))
     });
-}
-
-/// Exact solver for views without a budget constraint: select the top-K
-/// positive-weight items.
-fn top_k(view: &WdpView<'_>) -> WdpSolution {
-    let k = view.max_winners().unwrap_or(view.len());
-    let mut order = preference_order(view);
-    order.truncate(k);
-    WdpSolution::from_view(view, order)
 }
 
 /// Brute-force exact solver.
@@ -423,13 +369,27 @@ fn exhaustive(view: &WdpView<'_>) -> WdpSolution {
     WdpSolution::from_view(view, best)
 }
 
-/// Knapsack candidate filter: positive weight and individually affordable
-/// (parent indices, ascending). Shared by the DP and the incremental pivot
-/// engine (`crate::pivots`) so both see exactly the same item roster.
-pub(crate) fn knapsack_candidates(view: &WdpView<'_>, budget: f64) -> Vec<usize> {
-    view.indices()
-        .filter(|&i| view.item(i).weight > 0.0 && view.item(i).cost <= budget + 1e-12)
-        .collect()
+/// Knapsack candidate filter into a caller-recycled lane (cleared first):
+/// positive weight and individually affordable, parent indices ascending.
+/// Shared by the DP and the incremental pivot engine (`crate::pivots`) so
+/// both see exactly the same item roster.
+///
+/// # Panics
+///
+/// Panics if any item of the view has a negative or non-finite cost.
+pub(crate) fn fill_knapsack_candidates(view: &WdpView<'_>, budget: f64, cand: &mut Vec<usize>) {
+    for i in view.indices() {
+        let it = view.item(i);
+        assert!(
+            it.cost.is_finite() && it.cost >= 0.0,
+            "knapsack requires non-negative finite costs"
+        );
+    }
+    cand.clear();
+    cand.extend(
+        view.indices()
+            .filter(|&i| view.item(i).weight > 0.0 && view.item(i).cost <= budget + 1e-12),
+    );
 }
 
 /// Grid cell size for a budget discretized into `grid_eff` cells.
@@ -536,132 +496,6 @@ pub(crate) struct RepairScratch {
     dropped: Vec<bool>,
 }
 
-/// Budget-constrained 0/1 knapsack DP over a discretized cost grid.
-///
-/// Costs are rounded *down* to grid cells (which keeps tight optimal packs
-/// representable) and the reconstructed selection is then repaired to true
-/// feasibility by dropping lowest-density items; with a fine grid the
-/// objective loss is negligible. A cardinality constraint, when present, is
-/// handled by adding a count dimension.
-fn knapsack(view: &WdpView<'_>, grid: usize) -> WdpSolution {
-    let budget = view.budget().expect("knapsack requires a budget");
-    assert!(grid >= 1, "grid must be at least 1");
-    for i in view.indices() {
-        let it = view.item(i);
-        assert!(
-            it.cost.is_finite() && it.cost >= 0.0,
-            "knapsack requires non-negative finite costs"
-        );
-    }
-    let cand = knapsack_candidates(view, budget);
-    if cand.is_empty() {
-        return WdpSolution::from_view(view, Vec::new());
-    }
-    let cell = knapsack_cell(budget, grid);
-    let gcost = |i: usize| -> usize { knapsack_gcost(view.item(i).cost, budget, cell, grid) };
-    let width = grid + 1;
-    let selected = match view.max_winners() {
-        // No cardinality cap: 1-D DP over the cost grid. `taken[t][c]`
-        // records that candidate t strictly improved state c; walking
-        // candidates backwards and following the first set flag at the
-        // current state is the standard exact reconstruction.
-        None => {
-            let mut dp = vec![0.0f64; width];
-            let mut taken: Vec<Vec<bool>> = Vec::with_capacity(cand.len());
-            for &i in &cand {
-                let gc = gcost(i);
-                let w = view.item(i).weight;
-                let mut tk = vec![false; width];
-                if gc <= grid {
-                    for c in (gc..width).rev() {
-                        let candidate = dp[c - gc] + w;
-                        if candidate > dp[c] + DP_EPS {
-                            dp[c] = candidate;
-                            tk[c] = true;
-                        }
-                    }
-                }
-                taken.push(tk);
-            }
-            let mut bc = 0usize;
-            for (c, &v) in dp.iter().enumerate() {
-                if v > dp[bc] + DP_EPS {
-                    bc = c;
-                }
-            }
-            let mut selected = Vec::new();
-            let mut c = bc;
-            for t in (0..cand.len()).rev() {
-                if taken[t][c] {
-                    let i = cand[t];
-                    selected.push(i);
-                    c -= gcost(i);
-                }
-            }
-            selected
-        }
-        // Cardinality cap: add a count dimension. Memory is
-        // O(items · k · grid) bits, so cap the table size and coarsen the
-        // grid if an absurd combination is requested.
-        Some(k) => {
-            let kmax = k.min(cand.len());
-            let width = knapsack_width_2d(cand.len(), kmax, grid);
-            let grid_eff = width - 1;
-            let cell_eff = knapsack_cell(budget, grid_eff);
-            let gcost_eff = |i: usize| -> usize {
-                knapsack_gcost(view.item(i).cost, budget, cell_eff, grid_eff)
-            };
-            let mut dp = vec![vec![0.0f64; width]; kmax + 1];
-            let mut taken: Vec<Vec<bool>> = Vec::with_capacity(cand.len());
-            for &i in &cand {
-                let gc = gcost_eff(i);
-                let w = view.item(i).weight;
-                let mut tk = vec![false; (kmax + 1) * width];
-                if gc <= grid_eff {
-                    for j in (1..=kmax).rev() {
-                        for c in (gc..width).rev() {
-                            let candidate = dp[j - 1][c - gc] + w;
-                            if candidate > dp[j][c] + DP_EPS {
-                                dp[j][c] = candidate;
-                                tk[j * width + c] = true;
-                            }
-                        }
-                    }
-                }
-                taken.push(tk);
-            }
-            let (mut bj, mut bc, mut best) = (0usize, 0usize, 0.0f64);
-            for (j, row) in dp.iter().enumerate() {
-                for (c, &v) in row.iter().enumerate() {
-                    if v > best + DP_EPS {
-                        best = v;
-                        bj = j;
-                        bc = c;
-                    }
-                }
-            }
-            let mut selected = Vec::new();
-            let mut j = bj;
-            let mut c = bc;
-            for t in (0..cand.len()).rev() {
-                if j == 0 {
-                    break;
-                }
-                if taken[t][j * width + c] {
-                    let i = cand[t];
-                    selected.push(i);
-                    c -= gcost_eff(i);
-                    j -= 1;
-                }
-            }
-            selected
-        }
-    };
-    let mut selected = selected;
-    repair_overspend(view, &mut selected, budget, &mut RepairScratch::default());
-    WdpSolution::from_view(view, selected)
-}
-
 /// Bit-packed per-(item, cell) flag matrix backing DP tracebacks, one
 /// `u64` word per 64 cells. Owned by a [`SolverArena`] (or the pivot
 /// engine's sweeps) and recycled via [`FlagTable::reset`] so steady-state
@@ -766,7 +600,7 @@ pub(crate) fn knapsack_item_step_1d(
         }
     }
     // Exact per-cell sweep over (gc..uni), highest cells first (the same
-    // order the one-piece legacy loop visits them in).
+    // order the one-piece textbook loop visits them in).
     let mut upper = uni;
     while upper > gc {
         let word = (bit_base + upper - 1) >> 6;
@@ -842,19 +676,20 @@ pub(crate) struct LooScratch {
     pub(crate) repair: RepairScratch,
 }
 
-/// Reusable solver workspace: flat DP rows, a bit-packed traceback, and
-/// struct-of-arrays candidate lanes, all recycled across solves.
+/// The winner-determination solver: flat DP rows, a bit-packed traceback,
+/// and struct-of-arrays candidate lanes, all recycled across solves.
 ///
-/// The arena path computes **bit-identical** results to the free-function
-/// solvers ([`solve_view`]): it keeps the exact
-/// `dp[c - gc] + w > dp[c] + DP_EPS` comparison, the same cell iteration
-/// order, and the same ascending-index reconstruction — it only
-/// restructures *where the bytes live and how the iteration space is
-/// walked* (SoA lanes walked contiguously, the per-candidate `gc <= grid`
-/// test hoisted out of the cell loop, the saturated high-cost span
-/// collapsed to one representative comparison, traceback bits accumulated
-/// per 64-cell word — see [`knapsack_item_step_1d`]). The
-/// `arena_equivalence` differential suite pins that contract.
+/// The knapsack kernel computes **bit-identical** results to the textbook
+/// 0/1-knapsack DP: it keeps the exact `dp[c - gc] + w > dp[c] + DP_EPS`
+/// comparison, the same cell iteration order, and the same
+/// ascending-index reconstruction — it only restructures *where the bytes
+/// live and how the iteration space is walked* (SoA lanes walked
+/// contiguously, the per-candidate `gc <= grid` test hoisted out of the
+/// cell loop, the saturated high-cost span collapsed to one representative
+/// comparison, traceback bits accumulated per 64-cell word — see
+/// [`knapsack_item_step_1d`]). Brute force only reaches 25 items, so the
+/// textbook DP is kept as a test-only reference (`wdp::reference`) and a
+/// seeded differential sweep pins the contract above that size.
 ///
 /// Reuse contract: keep one arena per worker. Serial callers
 /// (`LOVM_THREADS=1`) that hold an arena across rounds reach zero
@@ -900,14 +735,25 @@ impl SolverArena {
         out
     }
 
-    /// Solves a view into a caller-recycled solution, bit-identical to
-    /// [`solve_view`] (same dispatch, same floats).
+    /// Solves a view into a caller-recycled solution. `selected` holds
+    /// **parent indices**, ascending.
+    ///
+    /// `SolverKind::Exact` dispatches to:
+    /// * top-K selection when no budget constraint is present (exact),
+    /// * exhaustive search when ≤ 25 items (exact),
+    /// * knapsack DP with a fine grid otherwise (exact up to cost rounding;
+    ///   costs round down onto the grid and the selection is then repaired
+    ///   to true feasibility, so it is always feasible).
     ///
     /// The hot dispatches (top-K and knapsack — everything a LOVM round
     /// can hit) run entirely on arena buffers: zero heap allocations once
     /// `self` and `out` have warmed up. `Exhaustive` and `GreedyDensity`
-    /// are cold experiment/baseline paths and delegate to the allocating
-    /// free functions.
+    /// are cold experiment/baseline paths and allocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `Exhaustive` is requested for more than 25 items, or item
+    /// costs are negative/non-finite when a budget constraint is present.
     pub fn solve_view_into(&mut self, view: &WdpView<'_>, kind: SolverKind, out: &mut WdpSolution) {
         // Per-`SolverKind` latency span; inert (no clock read) unless
         // telemetry is enabled. Handles live in leaked statics, so the
@@ -928,8 +774,9 @@ impl SolverArena {
         }
     }
 
-    /// Arena twin of `top_k`: preference order into the recycled `order`
-    /// lane, truncate to K, canonicalize.
+    /// Exact solver for views without a budget constraint: the top-K
+    /// positive-weight items, via the preference order in the recycled
+    /// `order` lane.
     fn top_k_into(&mut self, view: &WdpView<'_>, out: &mut WdpSolution) {
         let k = view.max_winners().unwrap_or(view.len());
         fill_preference_order(view, &mut self.order);
@@ -939,24 +786,18 @@ impl SolverArena {
         finish_canonical(view, out);
     }
 
-    /// Arena twin of `knapsack`: SoA lanes + flat tables + branchless
-    /// inner loops, same floats in the same order.
+    /// Budget-constrained 0/1 knapsack DP over a discretized cost grid, on
+    /// SoA lanes and flat tables.
+    ///
+    /// Costs are rounded *down* to grid cells (which keeps tight optimal
+    /// packs representable) and the reconstructed selection is then
+    /// repaired to true feasibility by dropping lowest-density items; with
+    /// a fine grid the objective loss is negligible. A cardinality
+    /// constraint, when present, adds a count dimension.
     fn knapsack_into(&mut self, view: &WdpView<'_>, grid: usize, out: &mut WdpSolution) {
         let budget = view.budget().expect("knapsack requires a budget");
         assert!(grid >= 1, "grid must be at least 1");
-        for i in view.indices() {
-            let it = view.item(i);
-            assert!(
-                it.cost.is_finite() && it.cost >= 0.0,
-                "knapsack requires non-negative finite costs"
-            );
-        }
-        // Same filter as `knapsack_candidates`, into the recycled lane.
-        self.cand.clear();
-        self.cand.extend(
-            view.indices()
-                .filter(|&i| view.item(i).weight > 0.0 && view.item(i).cost <= budget + 1e-12),
-        );
+        fill_knapsack_candidates(view, budget, &mut self.cand);
         let m = self.cand.len();
         if m == 0 {
             out.selected.clear();
@@ -984,9 +825,8 @@ impl SolverArena {
                 let mut sat = 0usize;
                 for t in 0..m {
                     let gc = self.gcosts[t];
-                    // Hoisted unaffordability test: the legacy loop pushes
-                    // an all-false traceback row in this case; here the
-                    // reset table's row is already zero.
+                    // Hoisted unaffordability test: the item never fits,
+                    // and the reset table's traceback row is already zero.
                     if gc > grid {
                         continue;
                     }
@@ -1047,7 +887,7 @@ impl SolverArena {
                     );
                     sat = (sat + gc).min(width - 1);
                 }
-                // Flat row-major scan == legacy's (j outer, c inner) order.
+                // Flat row-major scan == the (j outer, c inner) order.
                 let (mut bj, mut bc, mut best) = (0usize, 0usize, 0.0f64);
                 for (idx, &v) in self.dp.iter().enumerate() {
                     if v > best + DP_EPS {
@@ -1133,7 +973,7 @@ fn greedy_density(view: &WdpView<'_>) -> WdpSolution {
 /// present. Used as the denominator in competitive-ratio plots.
 pub fn fractional_upper_bound(inst: &WdpInstance) -> f64 {
     match inst.budget {
-        None => top_k(&WdpView::full(inst)).objective,
+        None => solve(inst, SolverKind::Exact).objective,
         Some(budget) => {
             let mut order: Vec<usize> = (0..inst.items.len())
                 .filter(|&i| inst.items[i].weight > 0.0)
@@ -1167,6 +1007,9 @@ pub fn fractional_upper_bound(inst: &WdpInstance) -> f64 {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use simrng::{rngs::StdRng, RngExt, SeedableRng};
@@ -1176,6 +1019,18 @@ mod tests {
             bidder,
             weight,
             cost,
+        }
+    }
+
+    /// The instance with item `idx` removed, materialized: the oracle the
+    /// allocation-free [`WdpView::skipping`] is held against.
+    fn without_item(inst: &WdpInstance, idx: usize) -> WdpInstance {
+        let mut items = inst.items.clone();
+        items.remove(idx);
+        WdpInstance {
+            items,
+            max_winners: inst.max_winners,
+            budget: inst.budget,
         }
     }
 
@@ -1286,7 +1141,7 @@ mod tests {
             item(1, 2.0, 2.0),
             item(2, 3.0, 3.0),
         ]);
-        let reduced = inst.without_item(1);
+        let reduced = without_item(&inst, 1);
         assert_eq!(reduced.items.len(), 2);
         assert_eq!(reduced.items[1].bidder, 2);
     }
@@ -1323,7 +1178,7 @@ mod tests {
                 SolverKind::Knapsack { grid: 300 }
             };
             for idx in 0..n {
-                let cloned = solve(&inst.without_item(idx), kind);
+                let cloned = solve(&without_item(&inst, idx), kind);
                 let viewed = solve_view(&WdpView::full(&inst).skipping(idx), kind);
                 assert_eq!(
                     cloned.objective.to_bits(),
@@ -1504,9 +1359,9 @@ mod tests {
         assert_eq!(knapsack_width_2d(1 << 22, 1, 1 << 10), 64);
     }
 
-    /// The arena solver matches the legacy free functions bit-for-bit on
-    /// hand-built boundary instances (the big seeded sweep lives in
-    /// tests/arena_equivalence.rs).
+    /// The arena solver matches the textbook reference bit-for-bit on
+    /// hand-built boundary instances (the big seeded sweeps live in
+    /// `wdp::reference`).
     #[test]
     fn arena_matches_legacy_on_boundaries() {
         let mut arena = SolverArena::new();
@@ -1531,16 +1386,16 @@ mod tests {
         ];
         for inst in &cases {
             for kind in [SolverKind::Exact, SolverKind::Knapsack { grid: 100 }] {
-                let legacy = solve(inst, kind);
                 let view = WdpView::full(inst);
+                let expected = reference::solve_view(&view, kind);
                 let fresh = arena.solve_view(&view, kind);
-                assert_eq!(legacy.selected, fresh.selected);
-                assert_eq!(legacy.objective.to_bits(), fresh.objective.to_bits());
+                assert_eq!(expected.selected, fresh.selected);
+                assert_eq!(expected.objective.to_bits(), fresh.objective.to_bits());
                 // Second solve through the now-warm arena: recycled
                 // buffers must not leak state between solves.
                 let warm = arena.solve_view(&view, kind);
-                assert_eq!(legacy.selected, warm.selected);
-                assert_eq!(legacy.objective.to_bits(), warm.objective.to_bits());
+                assert_eq!(expected.selected, warm.selected);
+                assert_eq!(expected.objective.to_bits(), warm.objective.to_bits());
             }
         }
     }

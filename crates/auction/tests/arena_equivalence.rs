@@ -1,17 +1,16 @@
-//! Differential suite: the arena-backed solver ([`SolverArena`]) must be
-//! **bit-identical** to the legacy allocating path ([`solve_view`]) — same
-//! selected indices, same `objective` bits — on every instance, every
-//! constraint combination, and every solver kind, with ONE warm arena
-//! reused across the whole sweep (so buffer-reuse bugs, stale traceback
-//! bits, and under-cleared scratch all surface here).
+//! Reuse suite: a warm [`SolverArena`] — one that has already solved
+//! larger, differently shaped instances — must return **bit-identical**
+//! answers to a fresh one (the free [`solve_view`] wraps a fresh arena):
+//! same selected indices, same `objective` bits. Stale DP tails, stale
+//! traceback bits, and under-cleared output slots all surface here.
 //!
-//! Payments are computed from these objectives, so "close" is not good
-//! enough: a one-ULP drift in a leave-one-out welfare is a payment change.
-//! Instance sizes straddle every dispatch boundary in `solve_view_into`
-//! (exhaustive below 25 budgeted items, knapsack above, top-K when
-//! unconstrained by budget).
+//! The arena's agreement with the textbook knapsack DP itself is pinned
+//! by the seeded differential sweeps in `wdp::reference` (crate-internal,
+//! because the reference shares the crate-private grid and repair code).
 
-use auction::wdp::{solve_view, SolverArena, SolverKind, WdpInstance, WdpItem, WdpView};
+use auction::wdp::{
+    solve_view, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView,
+};
 use simrng::rngs::StdRng;
 use simrng::{RngExt, SeedableRng};
 
@@ -36,91 +35,15 @@ fn random_items(rng: &mut StdRng, n: usize) -> Vec<WdpItem> {
         .collect()
 }
 
-fn assert_bit_identical(
-    legacy: &auction::wdp::WdpSolution,
-    arena: &auction::wdp::WdpSolution,
-    ctx: &str,
-) {
-    assert_eq!(legacy.selected, arena.selected, "selection diverged: {ctx}");
+fn assert_bit_identical(fresh: &WdpSolution, warm: &WdpSolution, ctx: &str) {
+    assert_eq!(fresh.selected, warm.selected, "selection diverged: {ctx}");
     assert_eq!(
-        legacy.objective.to_bits(),
-        arena.objective.to_bits(),
+        fresh.objective.to_bits(),
+        warm.objective.to_bits(),
         "objective bits diverged ({} vs {}): {ctx}",
-        legacy.objective,
-        arena.objective
+        fresh.objective,
+        warm.objective
     );
-}
-
-/// 200 seeded instances × 4 constraint combos × 2 solver kinds, one arena
-/// for the entire sweep. Sizes 1..=120 cross the exhaustive/knapsack
-/// dispatch boundary (25) and force multi-word traceback rows.
-#[test]
-fn arena_bit_identical_to_legacy_across_combos() {
-    let mut rng = StdRng::seed_from_u64(0xA2E4_A0001);
-    let mut arena = SolverArena::new();
-    let mut checked = 0usize;
-    for round in 0..200 {
-        // Skip the 13..=25 band: budgeted Exact dispatches it to the
-        // *shared* exhaustive enumerator (2^n subsets — slow and with no
-        // arena-vs-legacy divergence possible), so spend the budget on the
-        // knapsack band where the arena actually has its own code path.
-        let n = if round % 4 == 0 {
-            rng.random_range(1..=12usize)
-        } else {
-            rng.random_range(26..=96usize)
-        };
-        let items = random_items(&mut rng, n);
-        let k = rng.random_range(1..=n.max(1));
-        let budget = rng.random_range(0.0..20.0);
-        let combos = [
-            (None, None),
-            (Some(k), None),
-            (None, Some(budget)),
-            (Some(k), Some(budget)),
-        ];
-        for (k, b) in combos {
-            let inst = build(items.clone(), k, b);
-            let view = WdpView::full(&inst);
-            for kind in [SolverKind::Exact, SolverKind::Knapsack { grid: 1000 }] {
-                let legacy = solve_view(&view, kind);
-                let fast = arena.solve_view(&view, kind);
-                let ctx = format!("round={round} n={n} k={k:?} b={b:?} kind={kind:?}");
-                assert_bit_identical(&legacy, &fast, &ctx);
-                checked += 1;
-            }
-        }
-    }
-    assert_eq!(checked, 200 * 4 * 2);
-}
-
-/// Subset views (the sharded path's geometry): the arena must honor the
-/// view's index remapping, not assume 0..n.
-#[test]
-fn arena_matches_legacy_on_subset_views() {
-    let mut rng = StdRng::seed_from_u64(0xA2E4_A0002);
-    let mut arena = SolverArena::new();
-    for round in 0..60 {
-        // Alternate tiny exhaustive-band views with wide knapsack-band
-        // ones; the 13..=25 band is the shared 2^n enumerator (no arena
-        // code, and slow), so it gets no budget here either.
-        let (n, step) = if round % 3 == 0 {
-            (rng.random_range(6..=24usize), 3)
-        } else {
-            (rng.random_range(60..=160usize), 2)
-        };
-        let items = random_items(&mut rng, n);
-        let budget = rng.random_range(0.0..15.0);
-        let inst = build(items, Some(n / 2 + 1), Some(budget));
-        // A deliberately sparse, non-contiguous subset.
-        let subset: Vec<usize> = (0..n).step_by(step).collect();
-        let view = WdpView::of_subset(&inst, &subset);
-        for kind in [SolverKind::Exact, SolverKind::Knapsack { grid: 2000 }] {
-            let legacy = solve_view(&view, kind);
-            let fast = arena.solve_view(&view, kind);
-            let ctx = format!("round={round} n={n} subset kind={kind:?}");
-            assert_bit_identical(&legacy, &fast, &ctx);
-        }
-    }
 }
 
 /// Warm-arena order independence: solving a LARGE instance then a small one
@@ -140,31 +63,32 @@ fn arena_shrinking_instances_do_not_leak_state() {
         let inst = build(items, Some(n), Some(4.0));
         let view = WdpView::full(&inst);
         for kind in [SolverKind::Exact, SolverKind::Knapsack { grid: 500 }] {
-            let legacy = solve_view(&view, kind);
+            let fresh = solve_view(&view, kind);
             let warm = arena.solve_view(&view, kind);
-            let mut fresh_arena = SolverArena::new();
-            let fresh = fresh_arena.solve_view(&view, kind);
-            assert_bit_identical(&legacy, &warm, &format!("warm n={n} kind={kind:?}"));
-            assert_bit_identical(&legacy, &fresh, &format!("fresh n={n} kind={kind:?}"));
+            assert_bit_identical(&fresh, &warm, &format!("n={n} kind={kind:?}"));
         }
     }
 }
 
-/// The non-hot kinds (Exhaustive, GreedyDensity) route through the legacy
-/// solver inside the arena; pin that they stay identical too.
+/// The cold kinds (Exhaustive, GreedyDensity) solve outside the arena's
+/// lanes and copy into the recycled output slot; after a knapsack solve
+/// has dirtied both the arena and that slot, they must still match a
+/// fresh solve.
 #[test]
 fn arena_delegated_kinds_match() {
     let mut rng = StdRng::seed_from_u64(0xA2E4_A0004);
     let mut arena = SolverArena::new();
+    let mut out = WdpSolution::default();
     for _ in 0..30 {
         let n = rng.random_range(1..=10usize);
         let items = random_items(&mut rng, n);
         let inst = build(items, Some(n), Some(6.0));
         let view = WdpView::full(&inst);
         for kind in [SolverKind::Exhaustive, SolverKind::GreedyDensity] {
-            let legacy = solve_view(&view, kind);
-            let fast = arena.solve_view(&view, kind);
-            assert_bit_identical(&legacy, &fast, &format!("n={n} kind={kind:?}"));
+            arena.solve_view_into(&view, SolverKind::Knapsack { grid: 300 }, &mut out);
+            arena.solve_view_into(&view, kind, &mut out);
+            let fresh = solve_view(&view, kind);
+            assert_bit_identical(&fresh, &out, &format!("n={n} kind={kind:?}"));
         }
     }
 }

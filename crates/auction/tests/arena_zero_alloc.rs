@@ -13,26 +13,51 @@
 //! parallel pools spawn scoped workers with per-worker arenas (correctness,
 //! not allocation-freedom). This file is its own crate, so the counting
 //! allocator cannot perturb any other test binary.
+//!
+//! Only the measuring thread is counted. The default harness runs this
+//! file's tests concurrently, and a sibling test allocating on its own
+//! thread must not show up as a solver allocation; the measuring thread
+//! arms a thread-local flag around its measured loop instead.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted. Const-initialized
+    /// and drop-free, so reading it from inside the allocator never
+    /// allocates or registers a TLS destructor.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_armed() {
+    if ARMED.with(Cell::get) {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
+        // SAFETY: the caller's `GlobalAlloc::alloc` contract is forwarded
+        // to `System` unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with this
+        // `layout`, as the caller's `dealloc` contract guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
+        // SAFETY: the caller's `realloc` contract (a live `System` block
+        // with this `layout`, a valid `new_size`) is forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -134,6 +159,7 @@ fn streamed_rounds_allocate_nothing_after_warmup() {
                 run_round(view, kind, &mut arena, &mut solution, &mut welfares);
             }
         }
+        ARMED.with(|armed| armed.set(true));
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
         for round in 0..100 {
             let i = round % views.len();
@@ -157,6 +183,7 @@ fn streamed_rounds_allocate_nothing_after_warmup() {
                 now - before
             );
         }
+        ARMED.with(|armed| armed.set(false));
     }
     assert_ne!(last_objective, 0, "solves produced no output?");
 }

@@ -229,14 +229,17 @@ fn exact_dispatch_large_budgeted_bit_identical() {
 
 /// End-to-end through the auction: `run_with_budget_strategy_on` must hand
 /// out bit-identical payments (not just welfares) under both strategies, on
-/// both worker counts.
+/// both worker counts. Odd rounds also set a reserve price, which must cap
+/// every budgeted payment while keeping it individually rational.
 #[test]
 fn vcg_payments_bit_identical_across_strategies() {
+    const RESERVE: f64 = 2.0;
     let valuation = Valuation::Linear(ClientValue {
         value_per_unit: 0.05,
         base_value: 0.3,
     });
     let mut rng = StdRng::seed_from_u64(0x71C0_0005);
+    let mut capped_payments = 0;
     for round in 0..12 {
         let n = rng.random_range(28..60usize);
         let bids: Vec<Bid> = (0..n)
@@ -253,6 +256,9 @@ fn vcg_payments_bit_identical_across_strategies() {
             value_weight: rng.random_range(5.0..60.0),
             cost_weight: rng.random_range(0.5..6.0),
             max_winners: None,
+            // Not drawn from `rng`, so the instances match the reserve-free
+            // rounds this suite has always run.
+            reserve_price: (round % 2 == 1).then_some(RESERVE),
             ..VcgConfig::default()
         });
         let budget = rng.random_range(0.2..0.6) * bids.iter().map(|b| b.cost).sum::<f64>();
@@ -291,9 +297,29 @@ fn vcg_payments_bit_identical_across_strategies() {
                     "payment of bidder {} diverged, round {round}",
                     a.bidder
                 );
+                let cost = bids[a.bidder].cost;
+                assert!(
+                    a.payment >= cost - 1e-9,
+                    "payment of bidder {} below its cost, round {round}",
+                    a.bidder
+                );
+                if round % 2 == 1 {
+                    assert!(
+                        a.payment <= RESERVE,
+                        "payment of bidder {} above the reserve, round {round}",
+                        a.bidder
+                    );
+                    if a.payment == RESERVE {
+                        capped_payments += 1;
+                    }
+                }
             }
         }
     }
+    assert!(
+        capped_payments > 0,
+        "the reserve never bound a budgeted payment"
+    );
 }
 
 /// The no-budget auction path (`run_with_strategy_on`) is likewise

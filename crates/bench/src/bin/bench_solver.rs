@@ -1,23 +1,20 @@
-//! Solver roofline: the arena-backed branchless knapsack/top-K path
-//! (`auction::wdp::SolverArena`) against the legacy allocating solver
-//! (`auction::wdp::solve_view`), across n × grid × constraint-combo.
+//! Solver roofline: the warm-arena knapsack/top-K kernel
+//! (`auction::wdp::SolverArena`) across n × grid × constraint-combo.
 //!
 //! Every row reports ns/solve (median), DP cells touched per ns, and heap
 //! bytes allocated per solve (counted by a wrapping `#[global_allocator]`,
-//! measured outside the timed region). Before any row is timed, the two
-//! implementations are asserted **bit-identical** on that row's instance —
-//! a benchmark comparing diverging solvers would be meaningless.
+//! measured outside the timed region).
 //!
 //! Output contract:
 //! * stdout — one JSON line per benchmark (the `Bencher` contract; the CI
-//!   gate reads `solver/budget_n4096_g4000_{legacy,arena}` median_ns),
+//!   gate reads `solver/budgetcap_n4096_g4000_arena` median_ns from this
+//!   build and from the committed baseline's build, run alternately),
 //! * stderr — the human roofline table,
-//! * `BENCH_solver.json` — the machine-readable roofline (validated by
-//!   re-parsing with `metrics::json` before the process exits 0).
+//! * `BENCH_solver.json` in the working directory — the machine-readable
+//!   roofline (validated by re-parsing with `metrics::json` before the
+//!   process exits 0).
 
-use auction::wdp::{
-    solve_view, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView,
-};
+use auction::wdp::{SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView};
 use bench::harness::Bencher;
 use metrics::json::JsonValue;
 use simrng::rngs::StdRng;
@@ -100,10 +97,29 @@ struct Row {
     n: usize,
     grid: usize,
     combo: &'static str,
-    implementation: &'static str,
     median_ns: f64,
     cells: u64,
     bytes: u64,
+}
+
+/// One warm-arena row: heap bytes per solve, then the timed median.
+fn bench_row(
+    bencher: &mut Bencher,
+    arena: &mut SolverArena,
+    out: &mut WdpSolution,
+    name: &str,
+    view: &WdpView<'_>,
+    kind: SolverKind,
+    reps: u64,
+) -> (f64, u64) {
+    let bytes = bytes_per_solve(|| arena.solve_view_into(view, kind, out), reps);
+    let median_ns = bencher
+        .bench(name, || {
+            arena.solve_view_into(black_box(view), kind, out);
+            out.objective
+        })
+        .median_ns;
+    (median_ns, bytes)
 }
 
 /// `bench_solver --check <path>`: parse a previously written roofline with
@@ -156,47 +172,18 @@ fn main() {
                 }
                 let cells = dp_cells(&inst, grid, cap);
                 let view = WdpView::full(&inst);
-
-                // Bit-identity first; timing a divergent pair is nonsense.
-                let legacy_sol = solve_view(&view, kind);
-                arena.solve_view_into(&view, kind, &mut out);
-                assert_eq!(legacy_sol.selected, out.selected, "{combo} n={n} g={grid}");
-                assert_eq!(
-                    legacy_sol.objective.to_bits(),
-                    out.objective.to_bits(),
-                    "{combo} n={n} g={grid}"
-                );
-
-                for implementation in ["legacy", "arena"] {
-                    let name = format!("{combo}_n{n}_g{grid}_{implementation}");
-                    let bytes = match implementation {
-                        "legacy" => bytes_per_solve(
-                            || {
-                                black_box(solve_view(&view, kind).objective);
-                            },
-                            4,
-                        ),
-                        _ => bytes_per_solve(|| arena.solve_view_into(&view, kind, &mut out), 4),
-                    };
-                    let median_ns = match implementation {
-                        "legacy" => bencher.bench(&name, || solve_view(black_box(&view), kind)),
-                        _ => bencher.bench(&name, || {
-                            arena.solve_view_into(black_box(&view), kind, &mut out);
-                            out.objective
-                        }),
-                    }
-                    .median_ns;
-                    rows.push(Row {
-                        name: format!("solver/{name}"),
-                        n,
-                        grid,
-                        combo,
-                        implementation,
-                        median_ns,
-                        cells,
-                        bytes,
-                    });
-                }
+                let name = format!("{combo}_n{n}_g{grid}_arena");
+                let (median_ns, bytes) =
+                    bench_row(&mut bencher, &mut arena, &mut out, &name, &view, kind, 4);
+                rows.push(Row {
+                    name: format!("solver/{name}"),
+                    n,
+                    grid,
+                    combo,
+                    median_ns,
+                    cells,
+                    bytes,
+                });
             }
         }
     }
@@ -206,41 +193,25 @@ fn main() {
         let base = items(n, 0x50F7_1000 + n as u64);
         let inst = WdpInstance::new(base).with_max_winners(64);
         let view = WdpView::full(&inst);
-        let kind = SolverKind::Exact;
-        let legacy_sol = solve_view(&view, kind);
-        arena.solve_view_into(&view, kind, &mut out);
-        assert_eq!(legacy_sol.selected, out.selected, "topk n={n}");
-        assert_eq!(legacy_sol.objective.to_bits(), out.objective.to_bits());
-        for implementation in ["legacy", "arena"] {
-            let name = format!("topk_n{n}_{implementation}");
-            let bytes = match implementation {
-                "legacy" => bytes_per_solve(
-                    || {
-                        black_box(solve_view(&view, kind).objective);
-                    },
-                    8,
-                ),
-                _ => bytes_per_solve(|| arena.solve_view_into(&view, kind, &mut out), 8),
-            };
-            let median_ns = match implementation {
-                "legacy" => bencher.bench(&name, || solve_view(black_box(&view), kind)),
-                _ => bencher.bench(&name, || {
-                    arena.solve_view_into(black_box(&view), kind, &mut out);
-                    out.objective
-                }),
-            }
-            .median_ns;
-            rows.push(Row {
-                name: format!("solver/{name}"),
-                n,
-                grid: 0,
-                combo: "topk",
-                implementation,
-                median_ns,
-                cells: 0,
-                bytes,
-            });
-        }
+        let name = format!("topk_n{n}_arena");
+        let (median_ns, bytes) = bench_row(
+            &mut bencher,
+            &mut arena,
+            &mut out,
+            &name,
+            &view,
+            SolverKind::Exact,
+            8,
+        );
+        rows.push(Row {
+            name: format!("solver/{name}"),
+            n,
+            grid: 0,
+            combo: "topk",
+            median_ns,
+            cells: 0,
+            bytes,
+        });
     }
 
     // Human roofline table (stderr, like the bench rows themselves).
@@ -260,17 +231,6 @@ fn main() {
             row.name, row.median_ns, cells_per_ns, row.bytes
         );
     }
-    for (a, b) in rows.iter().zip(rows.iter().skip(1)) {
-        if a.implementation == "legacy" && b.implementation == "arena" && a.combo == b.combo {
-            eprintln!(
-                "solver/{}_n{}_g{}: arena {:.2}x vs legacy",
-                a.combo,
-                a.n,
-                a.grid,
-                a.median_ns / b.median_ns
-            );
-        }
-    }
 
     // Machine-readable roofline, then prove it re-parses before exiting 0.
     let mut table = JsonValue::array();
@@ -281,7 +241,9 @@ fn main() {
                 .field("n", row.n)
                 .field("grid", row.grid)
                 .field("combo", row.combo)
-                .field("impl", row.implementation)
+                // One kernel now; the `_arena` names and this field keep the
+                // `lovm.bench_solver.v1` rows comparable with older artifacts.
+                .field("impl", "arena")
                 .field("median_ns", row.median_ns)
                 .field("cells", row.cells)
                 .field(

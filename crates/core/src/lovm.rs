@@ -18,7 +18,6 @@
 use crate::mechanism::{Mechanism, RoundInfo};
 use auction::bid::Bid;
 use auction::outcome::AuctionOutcome;
-use auction::pivots::PaymentStrategy;
 use auction::shard::MarketTopology;
 use auction::valuation::Valuation;
 use auction::vcg::{RoundScratch, VcgAuction, VcgConfig};
@@ -39,11 +38,6 @@ pub struct LovmConfig {
     pub min_cost_weight: f64,
     /// Platform valuation of clients.
     pub valuation: Valuation,
-    /// How per-round Clarke pivots are computed. The incremental engine
-    /// (default) and the naive per-winner re-solve produce bit-identical
-    /// payments; the knob exists for differential testing and comparison
-    /// benchmarks.
-    pub payment_strategy: PaymentStrategy,
     /// Market layout per round. The default honors the `LOVM_SHARDS`
     /// environment variable (`Monolithic` when unset). LOVM rounds are
     /// top-K winner determinations, where the sharded champion
@@ -60,7 +54,6 @@ impl Default for LovmConfig {
             max_winners: None,
             min_cost_weight: 1.0,
             valuation: Valuation::default(),
-            payment_strategy: PaymentStrategy::Incremental,
             topology: MarketTopology::from_env(),
         }
     }
@@ -96,12 +89,6 @@ impl LovmConfig {
     /// Sets the valuation.
     pub fn with_valuation(mut self, valuation: Valuation) -> Self {
         self.valuation = valuation;
-        self
-    }
-
-    /// Sets the pivot-welfare strategy for payments.
-    pub fn with_payment_strategy(mut self, strategy: PaymentStrategy) -> Self {
-        self.payment_strategy = strategy;
         self
     }
 
@@ -190,13 +177,8 @@ impl Lovm {
             topology: self.config.topology,
             ..VcgConfig::default()
         });
-        let outcome = auction.run_with_scratch_on(
-            bids,
-            &self.config.valuation,
-            self.config.payment_strategy,
-            pool,
-            &mut self.scratch,
-        );
+        let outcome =
+            auction.run_with_scratch_on(bids, &self.config.valuation, pool, &mut self.scratch);
         self.dpp.observe_spend(outcome.total_payment());
         outcome
     }
@@ -277,7 +259,6 @@ mod tests {
                 value_per_unit: 0.02,
                 base_value: 0.2,
             }),
-            payment_strategy: PaymentStrategy::Incremental,
             topology: MarketTopology::from_env(),
         }
     }
@@ -366,25 +347,6 @@ mod tests {
                 report.is_truthful(1e-9),
                 "bidder {i} gains {}",
                 report.max_gain()
-            );
-        }
-    }
-
-    /// The whole round loop — selection, payments, queue update — is
-    /// bit-identical under the incremental and naive payment engines, so
-    /// the queue trajectories never diverge.
-    #[test]
-    fn payment_strategies_bit_identical_over_rounds() {
-        let mut a = Lovm::new(config());
-        let mut b = Lovm::new(config().with_payment_strategy(PaymentStrategy::Naive));
-        for t in 0..30 {
-            let oa = a.select(&info(t), &bids());
-            let ob = b.select(&info(t), &bids());
-            assert_eq!(oa, ob, "outcomes diverged at round {t}");
-            assert_eq!(
-                a.queue_backlog().to_bits(),
-                b.queue_backlog().to_bits(),
-                "queue diverged at round {t}"
             );
         }
     }

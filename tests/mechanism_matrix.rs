@@ -266,3 +266,63 @@ fn truthful_mechanisms_resist_full_horizon_misreports_on_energy_scenario() {
         );
     }
 }
+
+#[test]
+fn payment_strategies_bit_identical_over_rounds() {
+    // The whole LOVM round loop — selection, payments, queue update — is
+    // bit-identical to re-pricing every round with the naive per-winner
+    // re-solve: each round's auction is rebuilt from the mechanism's
+    // drift-plus-penalty weights (`V` and `max(Q(t), q_min)`) and run
+    // through `run_with_strategy_on(.., Naive, ..)`. Equal outcomes feed
+    // equal spends into the queue, so the trajectory is the naive one too.
+    use sustainable_fl::auction::{PaymentStrategy, VcgAuction, VcgConfig};
+
+    let config = LovmConfig {
+        v: 20.0,
+        budget_per_round: 3.0,
+        max_winners: Some(3),
+        min_cost_weight: 1.0,
+        valuation: Valuation::Linear(ClientValue {
+            value_per_unit: 0.02,
+            base_value: 0.2,
+        }),
+        ..LovmConfig::default()
+    };
+    let bids = vec![
+        Bid::new(0, 1.0, 300, 0.9),
+        Bid::new(1, 2.0, 400, 0.8),
+        Bid::new(2, 0.5, 100, 1.0),
+        Bid::new(3, 3.0, 500, 0.7),
+        Bid::new(4, 1.5, 200, 0.6),
+    ];
+    let mut lovm = Lovm::new(config);
+    for round in 0..30 {
+        let naive = VcgAuction::new(VcgConfig {
+            value_weight: config.v,
+            cost_weight: lovm.queue_backlog().max(config.min_cost_weight),
+            max_winners: config.max_winners,
+            topology: config.topology,
+            ..VcgConfig::default()
+        })
+        .run_with_strategy_on(
+            &bids,
+            &config.valuation,
+            PaymentStrategy::Naive,
+            par::Pool::serial(),
+        );
+        let info = RoundInfo {
+            round,
+            horizon: 100,
+            total_budget: 300.0,
+            spent_so_far: 0.0,
+        };
+        assert_eq!(
+            lovm.select(&info, &bids),
+            naive,
+            "outcomes diverged at round {round}"
+        );
+    }
+    // The queue must have left the q_min floor, or the cost weight — and
+    // with it the pricing — never moved.
+    assert!(lovm.peak_backlog() > config.min_cost_weight);
+}
