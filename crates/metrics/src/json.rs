@@ -92,10 +92,16 @@ impl JsonValue {
     /// allowed, nothing else). This is the read side of the journal's
     /// line framing: a torn or malformed line fails with the byte offset
     /// where parsing gave up, so the caller can truncate and move on.
+    ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep. The parser
+    /// recurses once per level, so without the cap a line of a few hundred
+    /// thousand `[` would overflow the calling thread's stack; past it the
+    /// parse fails with "nesting too deep" at the opening bracket.
     pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -189,11 +195,18 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// The deepest nesting of arrays and objects [`JsonValue::parse`]
+/// accepts. Every document the workspace writes nests a handful of levels
+/// deep; the cap bounds the parser's recursion on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent parser over the raw bytes (ASCII structure; string
 /// contents are decoded as UTF-8 with JSON escapes).
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -238,12 +251,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected byte")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to open a
+    /// level past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonParseError>,
+    ) -> Result<JsonValue, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<JsonValue, JsonParseError> {
@@ -293,17 +321,24 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
+                Some(c) if c < 0x20 => {
+                    return Err(self.err("raw control character in string"));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
+                    // Copy the whole run up to the next `"`, `\` or C0
+                    // control in one step. All three stop bytes are ASCII,
+                    // and in UTF-8 an ASCII byte is always a whole char
+                    // (every byte of a multi-byte char is >= 0x80), so the
+                    // run starts and ends on char boundaries and is valid
+                    // UTF-8 on its own. Validating only the run keeps the
+                    // parse linear in the input length.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -554,6 +589,8 @@ impl ToJson for crate::series::SeriesSet {
 mod tests {
     use super::*;
     use crate::stats::Summary;
+    use simrng::rngs::StdRng;
+    use simrng::{RngExt, SeedableRng};
 
     #[test]
     fn scalars_render() {
@@ -797,6 +834,162 @@ mod tests {
         assert!(back == 0.0 && back.is_sign_negative());
         // Positive zero still renders as the plain integer.
         assert_eq!(JsonValue::from(0.0f64).to_string(), "0");
+    }
+
+    /// One random char from a class mix that covers every escape the
+    /// writer emits, raw ASCII, 2-, 3- and 4-byte UTF-8, C1 controls, DEL
+    /// and the JavaScript line separators.
+    fn random_char(rng: &mut StdRng) -> char {
+        let code = match rng.random_range(0..8u32) {
+            0 | 1 => rng.random_range(0x20..0x7fu32),
+            2 => [0x22, 0x5c, 0x2f, 0x0a, 0x0d, 0x09, 0x08, 0x0c][rng.random_range(0..8usize)],
+            3 => rng.random_range(0..0x20u32),
+            4 => rng.random_range(0x7f..0x800u32),
+            5 => [0x2028, 0x2029, 0x85, 0x9f][rng.random_range(0..4usize)],
+            6 if rng.random_bool(0.5) => rng.random_range(0x800..0xd800u32),
+            6 => rng.random_range(0xe000..0x10000u32),
+            _ => rng.random_range(0x10000..0x110000u32),
+        };
+        char::from_u32(code).unwrap()
+    }
+
+    fn random_string(rng: &mut StdRng) -> String {
+        let len = rng.random_range(0..24usize);
+        (0..len).map(|_| random_char(rng)).collect()
+    }
+
+    /// A JSON string literal for `s` that the writer would never produce:
+    /// each char is written raw where JSON allows it, as `\/` for `/`, or
+    /// as a `\uXXXX` escape (a surrogate pair above the BMP), at random.
+    fn alternate_literal(s: &str, rng: &mut StdRng) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            let raw_ok = c as u32 >= 0x20 && c != '"' && c != '\\';
+            if raw_ok && rng.random_bool(0.5) {
+                out.push(c);
+            } else if c == '/' && rng.random_bool(0.5) {
+                out.push_str("\\/");
+            } else {
+                let mut units = [0u16; 2];
+                for unit in c.encode_utf16(&mut units) {
+                    out.push_str(&format!("\\u{unit:04X}"));
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// The escaped body of `s` as the writer renders it (no quotes).
+    fn rendered_body(s: &str) -> String {
+        let lit = JsonValue::from(s).to_string();
+        lit[1..lit.len() - 1].to_string()
+    }
+
+    #[test]
+    fn strings_round_trip_as_keys_values_and_items() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0013);
+        for _ in 0..400 {
+            let key = random_string(&mut rng);
+            let value = random_string(&mut rng);
+            let items: Vec<JsonValue> = (0..rng.random_range(0..4usize))
+                .map(|_| JsonValue::String(random_string(&mut rng)))
+                .collect();
+            let doc = JsonValue::Object(vec![
+                (key.clone(), JsonValue::String(value.clone())),
+                ("items".into(), JsonValue::Array(items.clone())),
+            ]);
+            let line = doc.to_string();
+            assert_eq!(JsonValue::parse(&line).as_ref(), Ok(&doc), "line {line:?}");
+
+            // The parser also accepts every other spelling of the same
+            // strings: `\/`, `\uXXXX` for any char, and surrogate pairs.
+            let mut alt = format!(
+                "{{{}:{},\"items\":[",
+                alternate_literal(&key, &mut rng),
+                alternate_literal(&value, &mut rng)
+            );
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    alt.push(',');
+                }
+                alt.push_str(&alternate_literal(item.as_str().unwrap(), &mut rng));
+            }
+            alt.push_str("]}");
+            assert_eq!(JsonValue::parse(&alt).as_ref(), Ok(&doc), "line {alt:?}");
+        }
+    }
+
+    #[test]
+    fn raw_control_byte_is_rejected_at_its_offset() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0014);
+        for _ in 0..400 {
+            let s = random_string(&mut rng);
+            let cut = s
+                .char_indices()
+                .map(|(i, _)| i)
+                .nth(rng.random_range(0..=s.chars().count()))
+                .unwrap_or(s.len());
+            let raw = rng.random_range(0..0x20u8) as char;
+            let head = rendered_body(&s[..cut]);
+            let torn = format!("\"{head}{raw}{}\"", rendered_body(&s[cut..]));
+            // Put the damaged literal in a key, a value or an array item.
+            let (prefix, suffix) = match rng.random_range(0..3u32) {
+                0 => ("{", ":1}"),
+                1 => ("{\"k\":", "}"),
+                _ => ("[\"a\",", ",2]"),
+            };
+            let line = format!("{prefix}{torn}{suffix}");
+            let err = JsonValue::parse(&line).unwrap_err();
+            assert_eq!(err.message, "raw control character in string", "{line:?}");
+            assert_eq!(err.offset, prefix.len() + 1 + head.len(), "{line:?}");
+        }
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        // Arrays and objects count alike, and the cap itself is accepted.
+        let mut mixed = String::new();
+        for level in 0..MAX_DEPTH {
+            mixed.push_str(if level % 2 == 0 { "[" } else { "{\"k\":" });
+        }
+        mixed.push('0');
+        for level in (0..MAX_DEPTH).rev() {
+            mixed.push(if level % 2 == 0 { ']' } else { '}' });
+        }
+        assert!(JsonValue::parse(&mixed).is_ok());
+        assert!(JsonValue::parse(&nested_arrays(MAX_DEPTH)).is_ok());
+
+        // One level more fails at the bracket that would open it.
+        let err = JsonValue::parse(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Inside an object, the object is level 1, so its value's
+        // MAX_DEPTH-th `[` is the one refused.
+        let err = JsonValue::parse(&format!("{{\"a\":{}}}", nested_arrays(MAX_DEPTH))).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (5 + MAX_DEPTH - 1, "nesting too deep")
+        );
+
+        // A hostile line far past the cap fails at the same byte on a
+        // thread whose stack could not hold its full recursion: the
+        // parser never descends below the cap.
+        let hostile = "[".repeat(300_000);
+        let err = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || JsonValue::parse(&hostile).unwrap_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (MAX_DEPTH, "nesting too deep")
+        );
     }
 
     #[test]

@@ -285,6 +285,32 @@ if ! diff -q <(grep '"event":"state"' "$smoke_dir/c2.out") \
 fi
 echo "ci: serve kill-and-recover smoke ok (byte-identical after SIGKILL)"
 
+# Hostile-input smoke: one line of 300 000 `[` must get a named error on
+# its own connection — before the JSON nesting cap it overflowed the
+# reader thread's stack and aborted the whole server — and the same
+# process must then serve the reference session byte-identically.
+start_server "$smoke_dir/hostile" "$smoke_dir/hostile.log"
+exec 3<>"/dev/tcp/${serve_addr%:*}/${serve_addr##*:}"
+{ head -c 300000 /dev/zero | tr '\0' '['; printf '\n'; } >&3
+hostile_reply=""
+IFS= read -r -t 10 hostile_reply <&3 || true
+exec 3<&-
+if ! printf '%s\n' "$hostile_reply" | grep -q '"event":"error".*nesting too deep'; then
+  echo "ci: FAIL — deep-nesting line did not get a nesting error, got: ${hostile_reply:0:200}"
+  exit 1
+fi
+drive --from 0 --to 8 >"$smoke_dir/hostile.out"
+if ! kill -0 "$serve_pid" 2>/dev/null; then
+  echo "ci: FAIL — lovm serve died after the deep-nesting line"
+  exit 1
+fi
+stop_server TERM
+if ! diff -q <(grep '"event":"sealed"' "$smoke_dir/hostile.out") "$smoke_dir/ref.sealed" >/dev/null; then
+  echo "ci: FAIL — sealed rounds after the deep-nesting line differ from the reference run"
+  exit 1
+fi
+echo "ci: hostile-input smoke ok (deep nesting refused, same process serves byte-identically)"
+
 # Kill-and-promote smoke for live replication: a leader serves with
 # journal compaction on, `lovm follow` replicates it into its own journal
 # directory, the leader is SIGKILLed mid-round (a round's arrivals
