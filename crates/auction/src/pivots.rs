@@ -13,7 +13,33 @@
 //! * **Budgeted knapsack**: one forward and one backward DP sweep over the
 //!   candidate sequence, then a per-winner merge of `prefix[i−1] ⊕
 //!   suffix[i+1]` over the cost grid. O(n·G) table work total instead of
-//!   O(n²·G), with the per-winner merges fanned out on [`par::Pool`].
+//!   O(n²·G), with the per-winner walks fanned out on [`par::Pool`].
+//!
+//! **Budgeted bounds.** For m candidates, t targets, `C` DP cells per row
+//! (grid width times count rows) and blocks of `B` = 32 candidates:
+//!
+//! * *Time.* At most three DP passes of m item steps each — the forward
+//!   sweep, the backward sweep, and the forward recompute of the blocks
+//!   that hold targets — so O(m·C). One O(C) split scan per target,
+//!   O(t·C). Per target, O(m) for the two traceback walks and O(s + r)
+//!   for the budget repair (s selected, r the prefix of the repair rank
+//!   walked), plus one O(m log m) rank of the roster per instance.
+//! * *Memory.* The two traceback tables, 2·m·C bits. Rows of f64: one
+//!   checkpoint per block that holds a target and a ring of one row per
+//!   target in the current block, O((min(t, m/B) + min(t, B))·C): ~1.8 MB
+//!   at m ≈ 800, grid 4000.
+//!
+//! **Why recomputed forward rows are bit-identical.** The forward sweep
+//! keeps only the row and the saturation index `sat` at the start of each
+//! block that holds a target. Ahead of the backward sweep reaching such a
+//! block, its rows are replayed from that checkpoint: the same kernel
+//! ([`knapsack_step`]) on the same row bits, with the same `(gcost,
+//! weight)` sequence and the same `sat` trajectory. Each step's DP values
+//! are a deterministic function of exactly those inputs — IEEE-754 adds
+//! and compares, no fused or reassociated arithmetic — and never of the
+//! traceback row, which the kernel only ORs flags into. So the replay's
+//! flags go to a throwaway row, and every replayed row equals, bit for
+//! bit, the row the forward sweep held at that candidate.
 //!
 //! **Bit-compatibility contract.** The engine is drop-in for the naive
 //! re-solve: `W*₋ᵢ` (and hence every payment) is bit-identical to
@@ -96,7 +122,7 @@ pub fn leave_one_out_welfares_view_on(
 }
 
 /// [`leave_one_out_welfares_view_on`] into caller-recycled buffers: the
-/// pivot lanes of `arena` hold every DP table, snapshot, and
+/// pivot lanes of `arena` hold every DP table, checkpoint row, and
 /// reconstruction buffer, and `out` receives one welfare per target (in
 /// target order, cleared first).
 ///
@@ -239,16 +265,22 @@ fn topk_loo(
     }
 }
 
+/// Candidates per checkpoint block of the merge engine's forward sweep
+/// (see the module docs). A constant, not a knob: checkpoints cost one row
+/// per block and the recompute ring one row per target in a block, and 32
+/// keeps both near a megabyte at the `grid = 4000` shape.
+const BLOCK: usize = 32;
+
 /// Incremental engine for budgeted instances: forward/backward knapsack DP
-/// tables over the candidate sequence, merged per target.
+/// sweeps over the candidate sequence, merged per target.
 ///
 /// The reduced instance's candidate roster is the full roster minus the
 /// target, in the same order, with the same grid geometry, so the naive
-/// LOO DP's state after the prefix is exactly the forward table — the
-/// merge only has to pick the optimal budget split between prefix and
-/// suffix and reconstruct each half from its taken flags. The reconstructed
-/// set is re-summed canonically, which is what makes the result
-/// bit-identical to the naive re-solve rather than merely equal to
+/// LOO DP's state after the prefix is exactly the forward row before the
+/// target — the merge only has to pick the optimal budget split between
+/// prefix and suffix and reconstruct each half from its taken flags. The
+/// reconstructed set is re-summed canonically, which is what makes the
+/// result bit-identical to the naive re-solve rather than merely equal to
 /// float noise.
 fn merge_loo(
     view: &WdpView<'_>,
@@ -266,11 +298,16 @@ fn merge_loo(
         gcosts,
         weights,
         dp,
-        snap_pos,
+        rank,
+        target_pos,
         fwd_taken,
         bwd_taken,
-        fwd_snap,
-        bwd_snap,
+        ckpt,
+        ckpt_sat,
+        ring,
+        fwd_row,
+        scrap,
+        splits,
         loo,
         ..
     } = arena;
@@ -300,14 +337,16 @@ fn merge_loo(
     weights.clear();
     weights.extend(cand.iter().map(|&i| view.item(i).weight));
 
-    // Table-size guard: past this the snapshot/flag memory outweighs the
-    // saved solves, so hand the job back to the reference engine.
-    snap_pos.clear();
-    snap_pos.extend(targets.iter().filter_map(|&t| cand.binary_search(&t).ok()));
-    snap_pos.sort_unstable();
-    snap_pos.dedup();
+    // Engine-selection guard: past these table sizes the job goes to the
+    // reference engine. The two engines may break exact welfare ties
+    // differently (see module docs), so this predicate decides payments on
+    // tied instances and stays as it is.
+    target_pos.clear();
+    target_pos.extend(targets.iter().filter_map(|&t| cand.binary_search(&t).ok()));
+    target_pos.sort_unstable();
+    target_pos.dedup();
     let cells = rows * width;
-    if m.saturating_mul(cells) > (1 << 28) || snap_pos.len().saturating_mul(cells) > (1 << 24) {
+    if m.saturating_mul(cells) > (1 << 28) || target_pos.len().saturating_mul(cells) > (1 << 24) {
         naive_loo(view, targets, kind, pool, &mut SolverArena::new(), out);
         return;
     }
@@ -328,98 +367,117 @@ fn merge_loo(
         return;
     }
 
-    // Forward sweep: fwd state before processing cand[p] is bit-identical
-    // to the naive LOO DP's state after the prefix cand[0..p] (same items,
-    // same order, same update rule). Backward sweep mirrors it from the
-    // end, so the snapshot at p covers exactly the suffix cand[p+1..].
-    // Snapshots are rows of one flat arena buffer (`snaps * cells`).
-    let snaps = snap_pos.len();
+    // Forward sweep: the row before processing cand[p] is bit-identical to
+    // the naive LOO DP's state after the prefix cand[0..p] (same items,
+    // same order, same update rule). Its flags are kept for the prefix
+    // walks; its rows only at the start of each block that holds a target.
+    let n_pos = target_pos.len();
     fwd_taken.reset(m, cells);
-    fwd_snap.clear();
-    fwd_snap.resize(snaps * cells, 0.0);
+    ckpt.clear();
+    ckpt_sat.clear();
     dp.clear();
     dp.resize(cells, 0.0);
     let mut sat = 0usize;
+    let mut next = 0usize;
     for t in 0..m {
-        if let Ok(s) = snap_pos.binary_search(&t) {
-            fwd_snap[s * cells..(s + 1) * cells].copy_from_slice(dp);
+        if t % BLOCK == 0 {
+            while next < n_pos && target_pos[next] < t {
+                next += 1;
+            }
+            if next < n_pos && target_pos[next] < t + BLOCK {
+                ckpt.extend_from_slice(dp);
+                ckpt_sat.push(sat);
+            }
         }
         sat = knapsack_step(dp, fwd_taken, t, gcosts[t], weights[t], kmax, sat);
     }
+
+    // Backward sweep, block by block from the end: the live row before
+    // processing cand[p] covers exactly the suffix cand[p+1..]. Ahead of
+    // each block that holds targets, its forward rows are recomputed from
+    // the block's checkpoint — same kernel, same inputs, flags into a
+    // throwaway row — into `ring`, one row per target, so each target's
+    // split is scanned as the sweep passes it.
     bwd_taken.reset(m, cells);
-    bwd_snap.clear();
-    bwd_snap.resize(snaps * cells, 0.0);
+    scrap.reset(1, cells);
+    splits.clear();
+    splits.resize(n_pos, (0, 0));
     dp.clear();
     dp.resize(cells, 0.0);
     let mut sat = 0usize;
-    for t in (0..m).rev() {
-        if let Ok(s) = snap_pos.binary_search(&t) {
-            bwd_snap[s * cells..(s + 1) * cells].copy_from_slice(dp);
+    let mut hi = n_pos;
+    let mut ck = ckpt_sat.len();
+    for start in (0..m).step_by(BLOCK).rev() {
+        let lo = target_pos[..hi].partition_point(|&p| p < start);
+        if lo < hi {
+            ck -= 1;
+            fwd_row.clear();
+            fwd_row.extend_from_slice(&ckpt[ck * cells..(ck + 1) * cells]);
+            ring.clear();
+            let mut fsat = ckpt_sat[ck];
+            let mut s = lo;
+            for t in start.. {
+                if target_pos[s] == t {
+                    ring.extend_from_slice(fwd_row);
+                    s += 1;
+                    if s == hi {
+                        break;
+                    }
+                }
+                fsat = knapsack_step(fwd_row, scrap, 0, gcosts[t], weights[t], kmax, fsat);
+            }
         }
-        sat = knapsack_step(dp, bwd_taken, t, gcosts[t], weights[t], kmax, sat);
+        for t in (start..(start + BLOCK).min(m)).rev() {
+            if hi > lo && target_pos[hi - 1] == t {
+                hi -= 1;
+                let fs = &ring[(hi - lo) * cells..(hi - lo + 1) * cells];
+                splits[hi] = best_split(fs, dp, rows, width);
+            }
+            sat = knapsack_step(dp, bwd_taken, t, gcosts[t], weights[t], kmax, sat);
+        }
     }
 
-    // Per-target merge: pick the best prefix/suffix split of the budget
-    // (and of the winner count, when capped), reconstruct both halves from
+    // Per-target merge: reconstruct both halves of the chosen split from
     // their flags in the naive walk's descending order, repair, re-sum.
     // Shared-borrow the tables for the fan-out; each worker reconstructs
     // into its own `LooScratch`.
-    let (cand, gcosts, snap_pos) = (&*cand, &*gcosts, &*snap_pos);
+    let order = rank.fill(view, cand, 0..m);
+    let (cand, gcosts, weights, target_pos, splits) =
+        (&*cand, &*gcosts, &*weights, &*target_pos, &*splits);
     let (fwd_taken, bwd_taken) = (&*fwd_taken, &*bwd_taken);
-    let (fwd_snap, bwd_snap) = (&*fwd_snap, &*bwd_snap);
     pool.run_with(targets.len(), loo, LooScratch::default, out, {
         |scratch: &mut LooScratch, ti| {
             let t = targets[ti];
             let Ok(p) = cand.binary_search(&t) else {
                 return full_objective;
             };
+            scratch.selected.clear();
             if m == 1 {
                 // Reduced instance has no candidates at all. (Summed, not
                 // a literal zero: an empty float sum is −0.0 and the
                 // contract is bit-identity.)
-                scratch.selected.clear();
-                return scratch.selected.iter().map(|&i| view.item(i).weight).sum();
+                return scratch.selected.iter().map(|&q| weights[q]).sum();
             }
-            let s = snap_pos
+            let s = target_pos
                 .binary_search(&p)
-                .expect("snapshot recorded for every candidate target");
-            let fs = &fwd_snap[s * cells..(s + 1) * cells];
-            let bs = &bwd_snap[s * cells..(s + 1) * cells];
-
-            // Best split, scanned low-to-high with the DP's
-            // strict-improvement epsilon. Both tables are monotone in count
-            // and cost, so each prefix state pairs with the full remaining
-            // capacity.
-            let mut best = f64::NEG_INFINITY;
-            let (mut bj1, mut bc1) = (0usize, 0usize);
-            for j1 in 0..rows {
-                let j2 = rows - 1 - j1;
-                for c1 in 0..width {
-                    let v = fs[j1 * width + c1] + bs[j2 * width + (grid_eff - c1)];
-                    if v > best + DP_EPS {
-                        best = v;
-                        bj1 = j1;
-                        bc1 = c1;
-                    }
-                }
-            }
+                .expect("split recorded for every candidate target");
+            let (bj1, bc1) = splits[s];
 
             // Suffix walk (forward through items, as the backward table
             // was built last-item-first), then reversed in place so the
             // combined vector is in the naive reconstruction's descending
-            // item order.
-            scratch.selected.clear();
+            // candidate order.
             {
                 let mut j = rows - 1 - bj1;
                 let mut c = grid_eff - bc1;
-                for q in (p + 1)..m {
+                for (q, &gc) in gcosts.iter().enumerate().skip(p + 1) {
                     if kmax.is_some() && j == 0 {
                         break;
                     }
                     let row = if kmax.is_some() { j } else { 0 };
                     if bwd_taken.get(q, row * width + c) {
-                        scratch.selected.push(cand[q]);
-                        c -= gcosts[q];
+                        scratch.selected.push(q);
+                        c -= gc;
                         j = j.saturating_sub(1);
                     }
                 }
@@ -434,25 +492,58 @@ fn merge_loo(
                     }
                     let row = if kmax.is_some() { j } else { 0 };
                     if fwd_taken.get(q, row * width + c) {
-                        scratch.selected.push(cand[q]);
+                        scratch.selected.push(q);
                         c -= gcosts[q];
                         j = j.saturating_sub(1);
                     }
                 }
             }
-            repair_overspend(view, &mut scratch.selected, budget, &mut scratch.repair);
-            // Canonical objective: ascending-index, left-to-right sum.
-            scratch.selected.sort_unstable();
-            scratch.selected.iter().map(|&i| view.item(i).weight).sum()
+            repair_overspend(
+                view,
+                cand,
+                &mut scratch.selected,
+                budget,
+                &mut scratch.member,
+                |_| order,
+            );
+            // Canonical objective: ascending-index, left-to-right sum. The
+            // positions are descending and `cand` ascends, so reversed they
+            // are the parent indices in ascending order.
+            scratch.selected.iter().rev().map(|&q| weights[q]).sum()
         }
     });
 }
 
-/// One knapsack DP item update (shared by both sweeps): the classic
-/// reverse-cell relaxation, with a count dimension when `kmax` is set.
-/// Identical update rule and epsilon to the solver's knapsack, executed
-/// through the shared hot kernels (`wdp::knapsack_item_step_{1d,2d}`: saturated
-/// high-span splat, branchy compare span, word-grouped traceback bits).
+/// Best prefix/suffix split of the budget (and of the winner count, when
+/// capped) for one target: `fs` is the forward row before it, `bs` the
+/// backward row after it. Scanned low-to-high with the DP's
+/// strict-improvement epsilon; both tables are monotone in count and cost,
+/// so each prefix state pairs with the full remaining capacity.
+fn best_split(fs: &[f64], bs: &[f64], rows: usize, width: usize) -> (usize, usize) {
+    let grid_eff = width - 1;
+    let mut best = f64::NEG_INFINITY;
+    let (mut bj1, mut bc1) = (0usize, 0usize);
+    for j1 in 0..rows {
+        let f = &fs[j1 * width..(j1 + 1) * width];
+        let b = &bs[(rows - 1 - j1) * width..(rows - j1) * width];
+        for c1 in 0..width {
+            let v = f[c1] + b[grid_eff - c1];
+            if v > best + DP_EPS {
+                best = v;
+                bj1 = j1;
+                bc1 = c1;
+            }
+        }
+    }
+    (bj1, bc1)
+}
+
+/// One knapsack DP item update (shared by both sweeps and the forward
+/// recompute): the classic reverse-cell relaxation, with a count dimension
+/// when `kmax` is set. Identical update rule and epsilon to the solver's
+/// knapsack, executed through the shared hot kernels
+/// (`wdp::knapsack_item_step_{1d,2d}`: saturated high-span splat, branchy
+/// compare span, word-grouped traceback bits).
 /// `sat` is the caller-tracked saturation index (capped running sum of
 /// processed items' grid costs); returns the advanced value.
 fn knapsack_step(

@@ -428,72 +428,103 @@ pub(crate) fn knapsack_width_2d(cand_len: usize, kmax: usize, grid: usize) -> us
     }
 }
 
-/// Post-DP repair: floor rounding may overshoot the true budget by up to
-/// one cell per item; drops lowest-density selections (first-of-equal in
-/// the vector's current order) until the true budget holds. Shared verbatim
-/// with the incremental pivot engine so both produce identical floats.
+/// The budget repair's drop order over candidate positions (indices into
+/// `cand`): density ascending, position descending on exact ties, where
+/// density is `weight / cost.max(1e-12)`.
 ///
-/// Dropping the current global density minimum repeatedly is the same as
-/// walking a stable density-ascending order (removals never change the
-/// densities of the remaining items), so this sorts once — O(s log s)
-/// instead of a rescan per drop — while reproducing the greedy loop's drop
-/// sequence and float trajectory exactly.
-pub(crate) fn repair_overspend(
+/// The repair drops the lowest-density selection first, the first of equal
+/// ones in the selection vector's order. Every selection it sees is in
+/// strictly descending candidate order: the DP traceback walks candidates
+/// last to first, and the pivot merge (`crate::pivots`) emits its reversed
+/// suffix walk ahead of its descending prefix walk. Within a selection,
+/// "first in vector order" is therefore "highest position", so this order
+/// over any superset of a selection, restricted to it, is that selection's
+/// drop order. The solve ranks its own selection; the pivot merge ranks the
+/// whole roster once and serves every target from it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RepairRank {
+    density: Vec<f64>,
+    order: Vec<usize>,
+}
+
+impl RepairRank {
+    /// Ranks `positions` of the roster `cand` and returns the drop order.
+    pub(crate) fn fill(
+        &mut self,
+        view: &WdpView<'_>,
+        cand: &[usize],
+        positions: impl IntoIterator<Item = usize>,
+    ) -> &[usize] {
+        let RepairRank { density, order } = self;
+        density.clear();
+        density.extend(
+            cand.iter()
+                .map(|&i| view.item(i).weight / view.item(i).cost.max(1e-12)),
+        );
+        order.clear();
+        order.extend(positions);
+        // Positions are unique, so the tiebreak makes the order total and
+        // the unstable (allocation-free) sort's result unique.
+        order.sort_unstable_by(|&a, &b| {
+            density[a]
+                .partial_cmp(&density[b])
+                .expect("densities are finite")
+                .then_with(|| b.cmp(&a))
+        });
+        order
+    }
+}
+
+/// Post-DP repair: floor rounding may overshoot the true budget by up to
+/// one cell per item, so lowest-density selections are dropped (first of
+/// equal ones in the vector's order) until the true budget holds.
+///
+/// `selected` holds candidate positions (indices into `cand`) in strictly
+/// descending order, and `rank` yields a [`RepairRank`] order over a
+/// superset of it; it is called, with the selection, only when the
+/// selection overspends. `spent` is summed in
+/// selection order, then the rank is walked over a membership bitmap
+/// (`member`, all zero on entry and on return), subtracting each member's
+/// cost in drop order. That is the textbook greedy loop's drop sequence and
+/// float trajectory, in O(s + r) for s selected and the r-long rank prefix
+/// walked, instead of a rescan or a sort per selection.
+pub(crate) fn repair_overspend<'r>(
     view: &WdpView<'_>,
+    cand: &[usize],
     selected: &mut Vec<usize>,
     budget: f64,
-    scratch: &mut RepairScratch,
+    member: &mut Vec<u64>,
+    rank: impl FnOnce(&[usize]) -> &'r [usize],
 ) {
-    let mut spent: f64 = selected.iter().map(|&i| view.item(i).cost).sum();
+    let cost = |q: usize| view.item(cand[q]).cost;
+    let mut spent: f64 = selected.iter().map(|&q| cost(q)).sum();
     if spent <= budget + 1e-9 {
         return;
     }
-    let RepairScratch {
-        density,
-        drop_order,
-        dropped,
-    } = scratch;
-    density.clear();
-    density.extend(
-        selected
-            .iter()
-            .map(|&i| view.item(i).weight / view.item(i).cost.max(1e-12)),
-    );
-    drop_order.clear();
-    drop_order.extend(0..selected.len());
-    // (density ascending, position ascending): positions are unique, so
-    // `sort_unstable_by` with the position tiebreak is the same permutation
-    // a stable density sort would produce, minus its scratch allocation.
-    drop_order.sort_unstable_by(|&a, &b| {
-        density[a]
-            .partial_cmp(&density[b])
-            .expect("densities are finite")
-            .then_with(|| a.cmp(&b))
-    });
-    dropped.clear();
-    dropped.resize(selected.len(), false);
-    for &pos in drop_order.iter() {
-        if spent <= budget + 1e-9 {
-            break;
-        }
-        dropped[pos] = true;
-        spent -= view.item(selected[pos]).cost;
+    let words = cand.len().div_ceil(64);
+    if member.len() < words {
+        member.resize(words, 0);
     }
-    let mut idx = 0;
-    selected.retain(|_| {
-        let keep = !dropped[idx];
-        idx += 1;
-        keep
+    for &q in selected.iter() {
+        member[q >> 6] |= 1u64 << (q & 63);
+    }
+    for &q in rank(selected) {
+        let bit = 1u64 << (q & 63);
+        if member[q >> 6] & bit != 0 {
+            member[q >> 6] &= !bit;
+            spent -= cost(q);
+            if spent <= budget + 1e-9 {
+                break;
+            }
+        }
+    }
+    // Keep the survivors in order, clearing their bits on the way out.
+    selected.retain(|&q| {
+        let bit = 1u64 << (q & 63);
+        let kept = member[q >> 6] & bit != 0;
+        member[q >> 6] &= !bit;
+        kept
     });
-}
-
-/// Reusable buffers for [`repair_overspend`]. Hot paths keep one alive per
-/// solver arena / pivot worker; cold paths build a throwaway default.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RepairScratch {
-    density: Vec<f64>,
-    drop_order: Vec<usize>,
-    dropped: Vec<bool>,
 }
 
 /// Bit-packed per-(item, cell) flag matrix backing DP tracebacks, one
@@ -667,13 +698,14 @@ pub(crate) fn knapsack_item_step_2d(
     }
 }
 
-/// Per-worker reconstruction scratch for leave-one-out pivot targets: the
-/// selection being rebuilt plus its repair buffers. One lives in every
-/// [`SolverArena`]; parallel pivot workers build their own.
+/// Per-worker reconstruction scratch: the selection being rebuilt (as
+/// candidate positions) and the repair's membership bitmap. One lives in
+/// every [`SolverArena`], serving its own solves and serial pivots;
+/// parallel pivot workers build their own.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LooScratch {
     pub(crate) selected: Vec<usize>,
-    pub(crate) repair: RepairScratch,
+    pub(crate) member: Vec<u64>,
 }
 
 /// The winner-determination solver: flat DP rows, a bit-packed traceback,
@@ -710,15 +742,27 @@ pub struct SolverArena {
     taken: FlagTable,
     /// Preference order for top-K solves.
     pub(crate) order: Vec<usize>,
-    repair: RepairScratch,
+    /// The budget repair's drop order over `cand`.
+    pub(crate) rank: RepairRank,
     // Lanes below are the incremental pivot engine's (crate::pivots)
-    // forward/backward merge workspace; they ride in the same arena so one
-    // object threads through solve + payments.
-    pub(crate) snap_pos: Vec<usize>,
+    // checkpointed forward/backward merge workspace; they ride in the same
+    // arena so one object threads through solve + payments.
+    /// Candidate positions of the pivot targets, ascending.
+    pub(crate) target_pos: Vec<usize>,
     pub(crate) fwd_taken: FlagTable,
     pub(crate) bwd_taken: FlagTable,
-    pub(crate) fwd_snap: Vec<f64>,
-    pub(crate) bwd_snap: Vec<f64>,
+    /// Forward DP rows at the start of each checkpoint block that holds a
+    /// target, and the saturation index each was taken at.
+    pub(crate) ckpt: Vec<f64>,
+    pub(crate) ckpt_sat: Vec<usize>,
+    /// One block's recomputed forward rows, one per target in the block,
+    /// and the row they are recomputed in.
+    pub(crate) ring: Vec<f64>,
+    pub(crate) fwd_row: Vec<f64>,
+    /// Throwaway traceback row for the recompute's flags.
+    pub(crate) scrap: FlagTable,
+    /// Best (count, cost) split of each target, parallel to `target_pos`.
+    pub(crate) splits: Vec<(usize, usize)>,
     pub(crate) loo: LooScratch,
 }
 
@@ -850,7 +894,7 @@ impl SolverArena {
                 let mut c = bc;
                 for t in (0..m).rev() {
                     if self.taken.get(t, c) {
-                        out.selected.push(self.cand[t]);
+                        out.selected.push(t);
                         c -= self.gcosts[t];
                     }
                 }
@@ -903,14 +947,31 @@ impl SolverArena {
                         break;
                     }
                     if self.taken.get(t, j * width + c) {
-                        out.selected.push(self.cand[t]);
+                        out.selected.push(t);
                         c -= self.gcosts[t];
                         j -= 1;
                     }
                 }
             }
         }
-        repair_overspend(view, &mut out.selected, budget, &mut self.repair);
+        // The tracebacks above pushed candidate positions, last first: the
+        // order the repair expects. It ranks the selection only on
+        // overspend.
+        let SolverArena {
+            cand, rank, loo, ..
+        } = self;
+        let cand = &*cand;
+        repair_overspend(
+            view,
+            cand,
+            &mut out.selected,
+            budget,
+            &mut loo.member,
+            move |sel| rank.fill(view, cand, sel.iter().copied()),
+        );
+        for s in out.selected.iter_mut() {
+            *s = cand[*s];
+        }
         finish_canonical(view, out);
     }
 }

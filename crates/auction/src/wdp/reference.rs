@@ -5,11 +5,11 @@
 //! that size the arena's saturated-span fast path and word-packed
 //! traceback need an independent oracle. These solvers are that oracle: a
 //! stable sort for top-K, and for the knapsack one `Vec<bool>` traceback
-//! row per candidate, one cell at a time, no saturation tracking. They
-//! share only the grid discretization and the budget repair with the arena
-//! (`knapsack_cell`, `knapsack_gcost`, `knapsack_width_2d`,
-//! `repair_overspend`), which define the problem the DP solves rather than
-//! how it solves it.
+//! row per candidate, one cell at a time, no saturation tracking, and the
+//! budget repair as the textbook greedy loop. They share only the grid
+//! discretization with the arena (`knapsack_cell`, `knapsack_gcost`,
+//! `knapsack_width_2d`), which defines the problem the DP solves rather
+//! than how it solves it.
 //!
 //! The seeded sweeps below reuse ONE warm arena across every instance, so
 //! buffer-reuse bugs, stale traceback bits, and under-cleared scratch
@@ -19,7 +19,7 @@
 
 use super::{
     exhaustive, greedy_density, knapsack_cell, knapsack_gcost, knapsack_width_2d, repair_overspend,
-    RepairScratch, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView, DP_EPS,
+    RepairRank, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView, DP_EPS,
 };
 use simrng::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -157,8 +157,25 @@ fn knapsack(view: &WdpView<'_>, grid: usize) -> WdpSolution {
             selected
         }
     };
-    repair_overspend(view, &mut selected, budget, &mut RepairScratch::default());
+    repair_greedy(view, &mut selected, budget);
     WdpSolution::from_view(view, selected)
+}
+
+/// The textbook budget repair: while the selection overspends, drop its
+/// current lowest-density item (`weight / cost.max(1e-12)`), the first of
+/// equal ones in vector order.
+fn repair_greedy(view: &WdpView<'_>, selected: &mut Vec<usize>, budget: f64) {
+    let density = |i: usize| view.item(i).weight / view.item(i).cost.max(1e-12);
+    let mut spent: f64 = selected.iter().map(|&i| view.item(i).cost).sum();
+    while spent > budget + 1e-9 && !selected.is_empty() {
+        let mut worst = 0;
+        for p in 1..selected.len() {
+            if density(selected[p]) < density(selected[worst]) {
+                worst = p;
+            }
+        }
+        spent -= view.item(selected.remove(worst)).cost;
+    }
 }
 
 fn build(items: Vec<WdpItem>, max_winners: Option<usize>, budget: Option<f64>) -> WdpInstance {
@@ -267,4 +284,110 @@ fn arena_matches_reference_on_subset_views() {
             assert_bit_identical(&expected, &fast, &ctx);
         }
     }
+}
+
+/// The production ranked repair against the greedy loop, on selections in
+/// the descending order both receive: exact density ties (half-unit costs
+/// with weights an integer multiple of the cost), zero-cost items on the
+/// `cost.max(1e-12)` floor, and budgets needing no drop, exactly one drop,
+/// and many drops, with the rank taken over the whole roster or over the
+/// selection alone. Same survivors, in the same order, every time.
+#[test]
+fn ranked_repair_matches_greedy_loop() {
+    let mut rng = StdRng::seed_from_u64(0xA2E4_A0003);
+    let mut rank = RepairRank::default();
+    let mut member = Vec::new();
+    let mut drops_seen = [0usize; 3]; // none, one, many (>= 5)
+    let mut tied_drops = 0usize;
+    let mut free_drops = 0usize;
+    for round in 0..300 {
+        let n = rng.random_range(1..=150usize);
+        let items: Vec<WdpItem> = (0..n)
+            .map(|i| {
+                let (weight, cost) = match rng.random_range(0..10u32) {
+                    // Zero cost: density is weight / 1e-12. Tiny weights
+                    // land it among the others, so it can be dropped.
+                    0 => (rng.random_range(1e-14..1e-11), 0.0),
+                    1 => (rng.random_range(0.1..9.0), 0.0),
+                    // Half-unit costs with weights 1-3x the cost: many
+                    // exactly equal densities.
+                    2..=5 => {
+                        let cost = rng.random_range(1..=4u32) as f64 * 0.5;
+                        (rng.random_range(1..=3u32) as f64 * cost, cost)
+                    }
+                    _ => (rng.random_range(0.1..9.0), rng.random_range(0.01..4.0)),
+                };
+                WdpItem {
+                    bidder: i,
+                    weight,
+                    cost,
+                }
+            })
+            .collect();
+        let inst = WdpInstance::new(items.clone()).with_budget(1.0);
+        let view = WdpView::full(&inst);
+        // The roster is every item; the selection is a random subset, in
+        // the descending order the DP walks produce.
+        let cand: Vec<usize> = (0..n).collect();
+        let positions: Vec<usize> = (0..n)
+            .rev()
+            .filter(|_| rng.random_range(0..4u32) != 0)
+            .collect();
+        let spent: f64 = positions.iter().map(|&q| items[q].cost).sum();
+        let lightest = positions
+            .iter()
+            .map(|&q| items[q].cost)
+            .filter(|&c| c > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        let budget = match round % 3 {
+            0 => spent + 1.0,
+            1 if lightest.is_finite() => (spent - lightest * 0.5).max(0.0),
+            _ => spent * rng.random_range(0.0..0.6),
+        };
+        let mut greedy = positions.clone();
+        repair_greedy(&view, &mut greedy, budget);
+        // Alternate the two rank shapes production uses: the whole roster
+        // (the pivot merge) and the selection alone (the solve).
+        let mut ranked = positions.clone();
+        repair_overspend(&view, &cand, &mut ranked, budget, &mut member, |sel| {
+            if round % 2 == 0 {
+                rank.fill(&view, &cand, 0..n)
+            } else {
+                rank.fill(&view, &cand, sel.iter().copied())
+            }
+        });
+        assert_eq!(ranked, greedy, "round {round} n {n} budget {budget}");
+        assert!(member.iter().all(|&w| w == 0), "bitmap left dirty");
+        let drops = positions.len() - ranked.len();
+        match drops {
+            0 => drops_seen[0] += 1,
+            1 => drops_seen[1] += 1,
+            d if d >= 5 => drops_seen[2] += 1,
+            _ => {}
+        }
+        // A drop decided by an exact tie: two dropped items of equal
+        // density, or a dropped item tied with a survivor.
+        let density = |q: usize| items[q].weight / items[q].cost.max(1e-12);
+        let dropped: Vec<usize> = positions
+            .iter()
+            .copied()
+            .filter(|q| !ranked.contains(q))
+            .collect();
+        if dropped.iter().any(|&d| {
+            positions
+                .iter()
+                .any(|&q| q != d && density(q) == density(d))
+        }) {
+            tied_drops += 1;
+        }
+        if dropped.iter().any(|&d| items[d].cost == 0.0) {
+            free_drops += 1;
+        }
+    }
+    assert!(
+        drops_seen.iter().all(|&c| c >= 20),
+        "drop-count coverage too thin: {drops_seen:?}"
+    );
+    assert!(tied_drops >= 20, "tie coverage too thin: {tied_drops}");
+    assert!(free_drops >= 5, "zero-cost coverage too thin: {free_drops}");
 }

@@ -114,8 +114,11 @@ fn run_round(
 }
 
 /// 100-round streamed loop over budgeted knapsack rounds (n = 80 keeps the
-/// budgeted Exact dispatch on the arena DP, not the exhaustive enumerator)
-/// interleaved with top-K rounds: zero allocations after warm-up — first
+/// budgeted Exact dispatch on the arena DP, not the exhaustive enumerator;
+/// the uncapped n = 200 round's ~150 candidates span five of the pivot
+/// engine's 32-candidate checkpoint blocks, so its checkpoint, ring, split
+/// and repair-rank lanes are audited too) interleaved with top-K rounds:
+/// zero allocations after warm-up — first
 /// with telemetry disabled, then again with it force-enabled. Recording
 /// into the preallocated histograms must be as allocation-free as not
 /// recording at all (handle registration allocates once, in the warm-up).
@@ -125,24 +128,46 @@ fn streamed_rounds_allocate_nothing_after_warmup() {
     let budgeted = instance(80, Some(12.0), 0xFEED_0001);
     let budgeted_small = instance(48, Some(5.0), 0xFEED_0002);
     let topk = instance(96, None, 0xFEED_0003);
+    let mut blocks = instance(200, Some(12.0), 0xFEED_0005);
+    blocks.max_winners = None;
     let views = [
         WdpView::full(&budgeted),
         WdpView::full(&budgeted_small),
         WdpView::full(&topk),
+        WdpView::full(&blocks),
     ];
     let kinds = [
         SolverKind::Exact,
         SolverKind::Knapsack { grid: 2000 },
         SolverKind::Exact,
+        SolverKind::Knapsack { grid: 2000 },
     ];
 
     let mut arena = SolverArena::new();
     let mut solution = WdpSolution::default();
     let mut welfares: Vec<f64> = Vec::new();
 
+    // The multi-block round really is one: its winners (the pivot targets)
+    // sit in at least four 32-candidate blocks of the knapsack roster.
+    let roster: Vec<usize> = (0..blocks.items.len())
+        .filter(|&i| blocks.items[i].weight > 0.0 && blocks.items[i].cost <= 12.0 + 1e-12)
+        .collect();
+    arena.solve_view_into(&views[3], kinds[3], &mut solution);
+    let mut target_blocks: Vec<usize> = solution
+        .selected
+        .iter()
+        .map(|w| roster.binary_search(w).expect("winners are candidates") / 32)
+        .collect();
+    target_blocks.dedup();
+    assert!(
+        target_blocks.len() >= 4,
+        "winners span only blocks {target_blocks:?} of a {}-candidate roster",
+        roster.len()
+    );
+
     // Warm-up: every (view, kind) pairing once, so all arena lanes, the
-    // traceback table, snapshot planes, and output buffers reach their
-    // high-water capacity.
+    // traceback tables, checkpoint and ring rows, and output buffers reach
+    // their high-water capacity.
     for (view, kind) in views.iter().zip(kinds) {
         run_round(view, kind, &mut arena, &mut solution, &mut welfares);
     }

@@ -207,6 +207,75 @@ fn knapsack_combos_bit_identical() {
     assert_eq!(checked, 120);
 }
 
+/// Budgeted instances whose candidate rosters span many of the merge
+/// engine's 32-candidate checkpoint blocks: n in 200..600 and grid in
+/// 300..1000, with the winner cap off and on. Besides the winners, the
+/// targets include the candidates at block edges (positions 0, kB − 1, kB,
+/// kB + 1 and m − 1), where a recompute starts from a checkpoint or a
+/// block's target rows end. Each instance matches the naive engine bit for
+/// bit on the serial pool and on a 4-worker pool.
+#[test]
+fn many_block_knapsack_combos_bit_identical() {
+    const BLOCK: usize = 32;
+    let mut rng = StdRng::seed_from_u64(0x71C0_0007);
+    let mut checked = 0usize;
+    for round in 0..10 {
+        let n = rng.random_range(200..600usize);
+        let items = random_items(&mut rng, n);
+        let grid = rng.random_range(300..1000usize);
+        let kind = SolverKind::Knapsack { grid };
+        let k = rng.random_range(2..10usize);
+        let budget = rng.random_range(3.0..12.0);
+        // The knapsack roster: positive weight, individually affordable.
+        let roster: Vec<usize> = (0..n)
+            .filter(|&i| items[i].weight > 0.0 && items[i].cost <= budget + 1e-12)
+            .collect();
+        let m = roster.len();
+        assert!(
+            m > 4 * BLOCK,
+            "round {round}: roster of {m} spans too few blocks"
+        );
+        let mut edges = vec![0, m - 1];
+        for kb in (BLOCK..m).step_by(BLOCK) {
+            edges.extend([kb - 1, kb, kb + 1]);
+        }
+        for combo in [None, Some(k)] {
+            let inst = build(items.clone(), combo, Some(budget));
+            let mut targets = solve(&inst, kind).selected;
+            targets.extend(edges.iter().filter(|&&q| q < m).map(|&q| roster[q]));
+            targets.sort_unstable();
+            targets.dedup();
+            let naive = leave_one_out_welfares_on(
+                &inst,
+                &targets,
+                kind,
+                PaymentStrategy::Naive,
+                par::Pool::serial(),
+            );
+            for pool in [par::Pool::serial(), par::Pool::with_threads(4)] {
+                let incremental = leave_one_out_welfares_on(
+                    &inst,
+                    &targets,
+                    kind,
+                    PaymentStrategy::Incremental,
+                    pool,
+                );
+                assert_eq!(naive.len(), incremental.len());
+                for (t, (ni, ii)) in targets.iter().zip(naive.iter().zip(&incremental)) {
+                    assert_eq!(
+                        ni.to_bits(),
+                        ii.to_bits(),
+                        "round {round} n {n} grid {grid} cap {combo:?} target {t}: \
+                         naive {ni} vs incremental {ii}"
+                    );
+                }
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 20);
+}
+
 /// `Exact` dispatch above the exhaustive boundary (n > 26): the production
 /// path `run_with_budget` takes — full instance and every reduced instance
 /// are knapsack-solved at grid 4000.

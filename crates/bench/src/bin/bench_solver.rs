@@ -1,9 +1,14 @@
 //! Solver roofline: the warm-arena knapsack/top-K kernel
-//! (`auction::wdp::SolverArena`) across n × grid × constraint-combo.
+//! (`auction::wdp::SolverArena`) across n × grid × constraint-combo, plus
+//! one leave-one-out pivot pass (`pivots/budget_n4096_g4000`: every
+//! winner's Clarke pivot on a warm arena and the serial pool, at the
+//! `budgeted-clear` benchmark's shape — n=4096, grid 4000, budget 5% of
+//! the total cost, no cap).
 //!
 //! Every row reports ns/solve (median), DP cells touched per ns, and heap
 //! bytes allocated per solve (counted by a wrapping `#[global_allocator]`,
-//! measured outside the timed region).
+//! measured outside the timed region). The pivot row reports ns and bytes
+//! per pass and no cell count.
 //!
 //! Output contract:
 //! * stdout — one JSON line per benchmark (the `Bencher` contract; the CI
@@ -14,6 +19,9 @@
 //!   roofline (validated by re-parsing with `metrics::json` before the
 //!   process exits 0).
 
+use auction::pivots::{leave_one_out_welfares_view_into, PaymentStrategy};
+use auction::valuation::Valuation;
+use auction::vcg::{VcgAuction, VcgConfig};
 use auction::wdp::{SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView};
 use bench::harness::Bencher;
 use metrics::json::JsonValue;
@@ -208,6 +216,56 @@ fn main() {
             n,
             grid: 0,
             combo: "topk",
+            median_ns,
+            cells: 0,
+            bytes,
+        });
+    }
+
+    // Leave-one-out pivots of every winner, at the budgeted-clear shape.
+    let mut pivots = Bencher::new("pivots");
+    {
+        // The clear's instance: VCG scores of `random_bids` (the cost,
+        // data and quality ranges `budgeted-clear` draws from), budget 5%
+        // of the total reported cost.
+        let n = 4096usize;
+        let grid = 4000usize;
+        let bids = bench::random_bids(n, 0x50F7_2000);
+        let total_cost: f64 = bids.iter().map(|b| b.cost).sum();
+        let auction = VcgAuction::new(VcgConfig {
+            max_winners: None,
+            ..VcgConfig::default()
+        });
+        let inst = auction
+            .instance(&bids, &Valuation::default())
+            .with_budget(0.05 * total_cost);
+        let view = WdpView::full(&inst);
+        let kind = SolverKind::Knapsack { grid };
+        let winners = arena.solve_view(&view, kind).selected;
+        let mut welfares = Vec::new();
+        let pass = |arena: &mut SolverArena, welfares: &mut Vec<f64>| {
+            leave_one_out_welfares_view_into(
+                black_box(&view),
+                &winners,
+                kind,
+                PaymentStrategy::Incremental,
+                par::Pool::serial(),
+                arena,
+                welfares,
+            );
+        };
+        let bytes = bytes_per_solve(|| pass(&mut arena, &mut welfares), 2);
+        let median_ns = pivots
+            .bench("budget_n4096_g4000", || {
+                pass(&mut arena, &mut welfares);
+                welfares.len()
+            })
+            .median_ns;
+        rows.push(Row {
+            name: "pivots/budget_n4096_g4000".to_string(),
+            n,
+            grid,
+            combo: "budget",
             median_ns,
             cells: 0,
             bytes,
