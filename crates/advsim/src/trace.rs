@@ -22,7 +22,8 @@
 //! arrival (seeded traces hold it constant per bidder; recorded traces
 //! are documented to do the same for any bidder under strategy focus).
 
-use auction::bid::Bid;
+use auction::bid::{Bid, BidField};
+use ingest::clock::valid_arrival_time;
 use simrng::rngs::StdRng;
 use simrng::{derive_seed, RngExt, SeedableRng};
 use std::collections::BTreeMap;
@@ -185,7 +186,7 @@ impl Trace {
             let at = fields[0]
                 .parse::<f64>()
                 .ok()
-                .filter(|a| a.is_finite() && *a >= 0.0)
+                .filter(|&a| valid_arrival_time(a))
                 .ok_or_else(|| named("at", fields[0], "a finite timestamp >= 0"))?;
             if at < last_at {
                 return Err(TraceError {
@@ -197,23 +198,17 @@ impl Trace {
             let bidder = fields[1]
                 .parse::<usize>()
                 .map_err(|_| named("bidder", fields[1], "a non-negative integer id"))?;
-            let cost = fields[2]
-                .parse::<f64>()
-                .ok()
-                .filter(|c| c.is_finite() && *c >= 0.0)
-                .ok_or_else(|| named("cost", fields[2], "a finite number >= 0 (NaN rejected)"))?;
             let data = fields[3]
                 .parse::<usize>()
                 .map_err(|_| named("data", fields[3], "a non-negative integer size"))?;
-            let quality = fields[4]
-                .parse::<f64>()
-                .ok()
-                .filter(|q| q.is_finite() && (0.0..=1.0).contains(q))
-                .ok_or_else(|| named("quality", fields[4], "a number in [0, 1]"))?;
-            arrivals.push(TimedBid {
-                at,
-                bid: Bid::new(bidder, cost, data, quality),
-            });
+            // An unparseable number is out of domain too: NaN fails both.
+            let cost = fields[2].parse::<f64>().unwrap_or(f64::NAN);
+            let quality = fields[4].parse::<f64>().unwrap_or(f64::NAN);
+            let bid = Bid::try_new(bidder, cost, data, quality).map_err(|field| match field {
+                BidField::Cost => named("cost", fields[2], "a finite number >= 0 (NaN rejected)"),
+                BidField::Quality => named("quality", fields[4], "a number in [0, 1]"),
+            })?;
+            arrivals.push(TimedBid { at, bid });
         }
         Ok(Trace::new(arrivals))
     }

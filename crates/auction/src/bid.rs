@@ -19,7 +19,38 @@ pub struct Bid {
     pub quality: f64,
 }
 
+/// The field [`Bid::try_new`] found out of domain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BidField {
+    /// `cost` is negative, NaN or infinite.
+    Cost,
+    /// `quality` is outside `[0, 1]`, NaN included.
+    Quality,
+}
+
 impl Bid {
+    /// Creates a bid, or names the first field (cost, then quality) out of
+    /// the bid domain. Every input boundary checks bids through here.
+    pub fn try_new(
+        bidder: usize,
+        cost: f64,
+        data_size: usize,
+        quality: f64,
+    ) -> Result<Self, BidField> {
+        if !(cost.is_finite() && cost >= 0.0) {
+            return Err(BidField::Cost);
+        }
+        if !(0.0..=1.0).contains(&quality) {
+            return Err(BidField::Quality);
+        }
+        Ok(Bid {
+            bidder,
+            cost,
+            data_size,
+            quality,
+        })
+    }
+
     /// Creates a bid.
     ///
     /// # Panics
@@ -27,19 +58,10 @@ impl Bid {
     /// Panics if `cost` is negative or non-finite, or `quality` is outside
     /// `[0, 1]`.
     pub fn new(bidder: usize, cost: f64, data_size: usize, quality: f64) -> Self {
-        assert!(
-            cost.is_finite() && cost >= 0.0,
-            "cost must be finite and >= 0"
-        );
-        assert!(
-            (0.0..=1.0).contains(&quality),
-            "quality must be in [0, 1], got {quality}"
-        );
-        Bid {
-            bidder,
-            cost,
-            data_size,
-            quality,
+        match Bid::try_new(bidder, cost, data_size, quality) {
+            Ok(bid) => bid,
+            Err(BidField::Cost) => panic!("cost must be finite and >= 0"),
+            Err(BidField::Quality) => panic!("quality must be in [0, 1], got {quality}"),
         }
     }
 
@@ -49,13 +71,8 @@ impl Bid {
     /// # Panics
     ///
     /// Panics if the new cost is negative or non-finite.
-    pub fn with_cost(mut self, cost: f64) -> Self {
-        assert!(
-            cost.is_finite() && cost >= 0.0,
-            "cost must be finite and >= 0"
-        );
-        self.cost = cost;
-        self
+    pub fn with_cost(self, cost: f64) -> Self {
+        Bid::new(self.bidder, cost, self.data_size, self.quality)
     }
 
     /// Quality-weighted data size, the scalar the default valuations use.
@@ -107,5 +124,30 @@ mod tests {
     #[should_panic(expected = "quality must be in [0, 1]")]
     fn rejects_bad_quality() {
         let _ = Bid::new(0, 1.0, 10, 1.5);
+    }
+
+    #[test]
+    fn try_new_names_the_failing_field() {
+        assert_eq!(
+            Bid::try_new(3, 2.5, 100, 0.75),
+            Ok(Bid::new(3, 2.5, 100, 0.75))
+        );
+        assert_eq!(Bid::try_new(0, 0.0, 0, 0.0), Ok(Bid::new(0, 0.0, 0, 0.0)));
+        for cost in [-1.0, -1e-300, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                Bid::try_new(0, cost, 10, 0.5),
+                Err(BidField::Cost),
+                "{cost}"
+            );
+        }
+        for quality in [-0.1, 1.0 + f64::EPSILON, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                Bid::try_new(0, 1.0, 10, quality),
+                Err(BidField::Quality),
+                "{quality}"
+            );
+        }
+        // Both out of domain: cost is reported first.
+        assert_eq!(Bid::try_new(0, f64::NAN, 10, 2.0), Err(BidField::Cost));
     }
 }

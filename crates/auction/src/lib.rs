@@ -60,7 +60,7 @@ pub mod valuation;
 pub mod vcg;
 pub mod wdp;
 
-pub use bid::Bid;
+pub use bid::{Bid, BidField};
 pub use outcome::{AuctionOutcome, Award};
 pub use pivots::PaymentStrategy;
 pub use sealed::SealedRound;

@@ -52,7 +52,7 @@ use ingest::{Admission, CollectedRound, IngestConfig, RoundCollector};
 use journal::{Digest, JournalEvent, JournalWriter, Snapshot};
 use metrics::json::JsonValue;
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex};
@@ -73,19 +73,8 @@ pub const SNAPSHOT_EVERY_ENV: &str = "LOVM_SNAPSHOT_EVERY";
 /// Panics with a descriptive message when `LOVM_SNAPSHOT_EVERY` is set
 /// to anything but an unsigned round count.
 pub fn snapshot_every_from_env() -> usize {
-    parse_snapshot_every(std::env::var(SNAPSHOT_EVERY_ENV).ok().as_deref())
-}
-
-fn parse_snapshot_every(raw: Option<&str>) -> usize {
-    match raw {
-        None => 8,
-        Some(raw) => raw.trim().parse::<usize>().unwrap_or_else(|_| {
-            panic!(
-                "{SNAPSHOT_EVERY_ENV} must be a sealed-round count \
-                 (0 disables snapshots), got `{raw}`"
-            )
-        }),
-    }
+    let raw = std::env::var(SNAPSHOT_EVERY_ENV).ok();
+    parse_cadence(SNAPSHOT_EVERY_ENV, raw.as_deref(), 8, "snapshots")
 }
 
 /// Environment variable setting the journal-compaction cadence in sealed
@@ -99,17 +88,17 @@ pub const COMPACT_EVERY_ENV: &str = "LOVM_COMPACT";
 /// Panics with a descriptive message when `LOVM_COMPACT` is set to
 /// anything but an unsigned round count.
 pub fn compact_every_from_env() -> usize {
-    parse_compact_every(std::env::var(COMPACT_EVERY_ENV).ok().as_deref())
+    let raw = std::env::var(COMPACT_EVERY_ENV).ok();
+    parse_cadence(COMPACT_EVERY_ENV, raw.as_deref(), 0, "compaction")
 }
 
-fn parse_compact_every(raw: Option<&str>) -> usize {
+/// Parses the sealed-round cadence `var` holds (`default` when unset);
+/// `disables` names what 0 turns off, for the panic message.
+fn parse_cadence(var: &str, raw: Option<&str>, default: usize, disables: &str) -> usize {
     match raw {
-        None => 0,
+        None => default,
         Some(raw) => raw.trim().parse::<usize>().unwrap_or_else(|_| {
-            panic!(
-                "{COMPACT_EVERY_ENV} must be a sealed-round count \
-                 (0 disables compaction), got `{raw}`"
-            )
+            panic!("{var} must be a sealed-round count (0 disables {disables}), got `{raw}`")
         }),
     }
 }
@@ -384,9 +373,13 @@ impl MarketSession {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is not finite.
+    /// Panics, before journaling, unless `at` is finite and `>= 0`: the
+    /// collector's domain, which a later seal would otherwise assert.
     pub fn offer(&mut self, at: f64, bid: Bid) -> std::io::Result<(u64, Admission)> {
-        assert!(at.is_finite(), "arrival time must be finite");
+        assert!(
+            ingest::clock::valid_arrival_time(at),
+            "arrival time must be finite and >= 0, got {at}"
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         let line = JournalEvent::Arrival { seq, at, bid }.to_line();
@@ -622,7 +615,8 @@ fn valid_session_name(name: &str) -> bool {
 }
 
 /// Parses one request line. Total: hostile input yields `Err`, never a
-/// panic — the bid domain is re-validated before `Bid::new`.
+/// panic — a bid and its arrival time go through the journal's decoder,
+/// whose domain is the one `Bid::new` and the collector assert.
 fn parse_request(line: &str) -> Result<Request, String> {
     let v = JsonValue::parse(line).map_err(|e| format!("bad json: {}", e.message))?;
     let cmd = v
@@ -630,63 +624,27 @@ fn parse_request(line: &str) -> Result<Request, String> {
         .and_then(JsonValue::as_str)
         .ok_or("missing `cmd`")?;
     match cmd {
-        "hello" => {
+        "hello" | "follow" => {
             let session = v
                 .get("session")
                 .and_then(JsonValue::as_str)
-                .ok_or("hello needs a `session` name")?;
+                .ok_or_else(|| format!("{cmd} needs a `session` name"))?;
             if !valid_session_name(session) {
                 return Err(format!(
                     "session name must be 1-64 chars of [A-Za-z0-9_-], got `{session}`"
                 ));
             }
-            Ok(Request::Hello {
-                session: session.to_string(),
+            let session = session.to_string();
+            Ok(if cmd == "hello" {
+                Request::Hello { session }
+            } else {
+                Request::Follow { session }
             })
         }
-        "follow" => {
-            let session = v
-                .get("session")
-                .and_then(JsonValue::as_str)
-                .ok_or("follow needs a `session` name")?;
-            if !valid_session_name(session) {
-                return Err(format!(
-                    "session name must be 1-64 chars of [A-Za-z0-9_-], got `{session}`"
-                ));
-            }
-            Ok(Request::Follow {
-                session: session.to_string(),
-            })
-        }
-        "bid" => {
-            let at = v
-                .get("at")
-                .and_then(JsonValue::as_f64)
-                .filter(|t| t.is_finite())
-                .ok_or("bid needs a finite `at`")?;
-            let bidder = v
-                .get("bidder")
-                .and_then(JsonValue::as_usize)
-                .ok_or("bid needs a `bidder` id")?;
-            let cost = v
-                .get("cost")
-                .and_then(JsonValue::as_f64)
-                .filter(|c| c.is_finite() && *c >= 0.0)
-                .ok_or("bid needs a non-negative finite `cost`")?;
-            let data = v
-                .get("data")
-                .and_then(JsonValue::as_usize)
-                .ok_or("bid needs a `data` size")?;
-            let quality = v
-                .get("quality")
-                .and_then(JsonValue::as_f64)
-                .filter(|q| (0.0..=1.0).contains(q))
-                .ok_or("bid needs a `quality` in [0, 1]")?;
-            Ok(Request::Bid {
-                at,
-                bid: Bid::new(bidder, cost, data, quality),
-            })
-        }
+        "bid" => Ok(Request::Bid {
+            at: journal::event::decode_at(&v)?,
+            bid: journal::event::decode_bid(&v)?,
+        }),
         "seal" => Ok(Request::Seal),
         "state" => Ok(Request::State),
         "stats" => Ok(Request::Stats),
@@ -729,6 +687,20 @@ fn sealed_response(s: &SealedOutcome) -> JsonValue {
         .field("digest", journal::u64_hex(s.digest))
 }
 
+/// The session summary `welcome`, `state` and `stats.session` share,
+/// appended to `head`: rounds, then (`with_money`) welfare and spend,
+/// then backlog and digest.
+fn session_summary(head: JsonValue, s: &MarketSession, with_money: bool) -> JsonValue {
+    let mut v = head.field("rounds", s.rounds_sealed());
+    if with_money {
+        v = v
+            .field("welfare", s.welfare())
+            .field("spend", s.total_spend());
+    }
+    v.field("backlog", s.backlog())
+        .field("digest", journal::u64_hex(s.digest()))
+}
+
 /// The `stats` response: the process-wide telemetry registry (counters,
 /// gauges, histograms — what `lovm top` renders), plus the session's
 /// lifetime ingestion rollup when asked from inside one. Works before
@@ -740,26 +712,11 @@ fn stats_response(session: Option<&MarketSession>) -> JsonValue {
     if let Some(s) = session {
         v = v.field(
             "session",
-            JsonValue::object()
-                .field("rounds", s.rounds_sealed())
-                .field("welfare", s.welfare())
-                .field("spend", s.total_spend())
-                .field("backlog", s.backlog())
-                .field("digest", journal::u64_hex(s.digest()))
+            session_summary(JsonValue::object(), s, true)
                 .field("totals", crate::obs::totals_json(s.stream_totals())),
         );
     }
     v
-}
-
-fn state_response(session: &MarketSession) -> JsonValue {
-    JsonValue::object()
-        .field("event", "state")
-        .field("rounds", session.rounds_sealed())
-        .field("welfare", session.welfare())
-        .field("spend", session.total_spend())
-        .field("backlog", session.backlog())
-        .field("digest", journal::u64_hex(session.digest()))
 }
 
 fn respond(out: &mut TcpStream, v: JsonValue) -> std::io::Result<()> {
@@ -804,6 +761,20 @@ impl ServeConfig {
             ingest: IngestConfig::default(),
         }
     }
+
+    /// Session `name`'s configuration: journal `<name>.jsonl` and snapshot
+    /// `<name>.snapshot.json` under `journal_dir`, with the server's
+    /// cadences, mechanism and ingest settings.
+    pub fn session(&self, name: &str) -> SessionConfig {
+        SessionConfig {
+            journal: self.journal_dir.join(format!("{name}.jsonl")),
+            snapshot: Some(self.journal_dir.join(format!("{name}.snapshot.json"))),
+            snapshot_every: self.snapshot_every,
+            compact_every: self.compact_every,
+            lovm: self.lovm,
+            ingest: self.ingest,
+        }
+    }
 }
 
 /// Server-wide replication hub: per-session lists of follower feeds.
@@ -845,6 +816,13 @@ pub struct MarketServer {
     cfg: ServeConfig,
     active: Arc<Mutex<HashSet<String>>>,
     hub: Hub,
+}
+
+/// A session opened by `hello`. Fields drop in order: the session closes
+/// its journal before the claim frees the name for the next `hello`.
+struct OpenSession {
+    session: MarketSession,
+    claim: SessionClaim,
 }
 
 /// Releases a claimed session name when the connection ends, however it
@@ -894,130 +872,146 @@ impl MarketServer {
     }
 }
 
+/// Longest request line the server reads, newline excluded: 1 MiB. A
+/// longer line gets an `error` and the connection is closed, so one peer
+/// cannot make the reader buffer without bound.
+const MAX_LINE: usize = 1 << 20;
+
+/// The connection's reader half, a producer feeding the bounded channel
+/// like `ingest::ThreadedDriver` (it stops once the market loop is gone).
+/// An over-long line ends the connection; an invalid-UTF-8 one does not.
+fn read_requests(stream: TcpStream, tx: mpsc::SyncSender<Result<Request, String>>) {
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from a full one.
+        let limit = MAX_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE {
+            let _ = tx.send(Err(format!("line longer than {MAX_LINE} bytes")));
+            break;
+        }
+        let request = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => parse_request(line),
+            Err(e) => Err(format!("line is not valid UTF-8: {e}")),
+        };
+        if tx.send(request).is_err() {
+            return;
+        }
+    }
+    // EOF (or a read error) quits the session like a polite client.
+    let _ = tx.send(Ok(Request::Quit));
+}
+
+/// Runs one connection's request loop. Before `hello` only `stats`,
+/// `follow` and `quit` do anything; `hello` opens the named session, and
+/// from then on the same loop serves its bids, seals and queries.
 fn handle_connection(
     stream: TcpStream,
     cfg: &ServeConfig,
     active: Arc<Mutex<HashSet<String>>>,
     hub: Hub,
 ) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let reader = stream.try_clone()?;
     let mut out = stream;
-    // The reader half is its own producer thread feeding a bounded
-    // channel, mirroring `ingest::ThreadedDriver`: when the market loop
-    // goes away the send fails and the producer stops — gracefully.
     let (tx, rx) = mpsc::sync_channel::<Result<Request, String>>(cfg.ingest.capacity.min(4096));
-    std::thread::spawn(move || {
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            if tx.send(parse_request(&line)).is_err() {
-                return;
-            }
-        }
-        // EOF (or a read error) quits the session like a polite client.
-        let _ = tx.send(Ok(Request::Quit));
-    });
+    std::thread::spawn(move || read_requests(reader, tx));
 
-    // The conversation starts with `hello` (a driver) or `follow` (a
-    // replica feed), either of which names the session.
-    let name = loop {
-        match rx.recv() {
-            Ok(Ok(Request::Hello { session })) => break session,
-            Ok(Ok(Request::Follow { session })) => {
-                return run_follower_feed(out, &rx, cfg, &hub, &session);
-            }
-            Ok(Ok(Request::Quit)) | Err(_) => {
+    let mut open: Option<OpenSession> = None;
+    loop {
+        // A reader that went away quits like a polite client.
+        let request = rx.recv().unwrap_or(Ok(Request::Quit));
+        let response = match (request, open.as_mut()) {
+            (Err(msg), _) => error_response(&msg),
+            (Ok(Request::Quit), _) => {
                 let _ = respond(&mut out, JsonValue::object().field("event", "bye"));
                 return Ok(());
             }
             // Server-wide stats work before a session is named, so a
             // monitor like `lovm top` never has to claim one.
-            Ok(Ok(Request::Stats)) => respond(&mut out, stats_response(None))?,
-            Ok(Ok(_)) => respond(&mut out, error_response("say hello first"))?,
-            Ok(Err(msg)) => respond(&mut out, error_response(&msg))?,
-        }
-    };
-    if !active.lock().unwrap().insert(name.clone()) {
-        respond(
-            &mut out,
-            error_response(&format!("session `{name}` is already being served")),
-        )?;
-        return Ok(());
-    }
-    let _claim = SessionClaim {
-        name: name.clone(),
-        active,
-    };
-
-    let mut session_cfg = SessionConfig::new(cfg.journal_dir.join(format!("{name}.jsonl")));
-    session_cfg.snapshot = Some(cfg.journal_dir.join(format!("{name}.snapshot.json")));
-    session_cfg.snapshot_every = cfg.snapshot_every;
-    session_cfg.compact_every = cfg.compact_every;
-    session_cfg.lovm = cfg.lovm;
-    session_cfg.ingest = cfg.ingest;
-    // Open under the hub lock: recovery truncates the journal's torn
-    // tail, which must not race a follower's bootstrap read.
-    let opened = {
-        let _ordering = hub.lock().unwrap();
-        MarketSession::open(session_cfg)
-    };
-    let mut session = match opened {
-        Ok(s) => s,
-        Err(e) => {
-            respond(
-                &mut out,
-                error_response(&format!("cannot open session `{name}`: {e}")),
-            )?;
-            return Ok(());
-        }
-    };
-    respond(
-        &mut out,
-        JsonValue::object()
-            .field("event", "welcome")
-            .field("session", name.as_str())
-            .field("rounds", session.rounds_sealed())
-            .field("backlog", session.backlog())
-            .field("digest", journal::u64_hex(session.digest())),
-    )?;
-
-    loop {
-        match rx.recv() {
-            Ok(Ok(Request::Bid { at, bid })) => {
-                let (seq, admission) = session.offer(at, bid)?;
-                respond(
-                    &mut out,
-                    JsonValue::object()
-                        .field("event", "bid")
-                        .field("seq", seq)
-                        .field("admission", admission_name(admission)),
-                )?;
+            (Ok(Request::Stats), o) => stats_response(o.map(|o| &o.session)),
+            (Ok(Request::Hello { .. } | Request::Follow { .. }), Some(_)) => {
+                error_response("already in a session")
             }
-            Ok(Ok(Request::Seal)) => {
+            (Ok(Request::Follow { session }), None) => {
+                return run_follower_feed(out, &rx, cfg, &hub, &session);
+            }
+            (Ok(Request::Hello { session }), None) => {
+                match open_session(cfg, &active, &hub, session) {
+                    Ok(opened) => {
+                        let o = open.insert(opened);
+                        let head = JsonValue::object()
+                            .field("event", "welcome")
+                            .field("session", o.claim.name.as_str());
+                        session_summary(head, &o.session, false)
+                    }
+                    Err(refusal) => {
+                        respond(&mut out, error_response(&refusal))?;
+                        return Ok(());
+                    }
+                }
+            }
+            (Ok(_), None) => error_response("say hello first"),
+            (Ok(Request::Bid { at, bid }), Some(o)) => {
+                let (seq, admission) = o.session.offer(at, bid)?;
+                JsonValue::object()
+                    .field("event", "bid")
+                    .field("seq", seq)
+                    .field("admission", admission_name(admission))
+            }
+            (Ok(Request::Seal), Some(o)) => {
                 // Seal and publish under the hub lock so every follower
                 // sees committed batches in seal order, with no window
                 // between the fsync and the feed.
                 let sealed = {
-                    let mut hub_state = hub.lock().unwrap();
-                    let sealed = session.seal()?;
-                    hub_state.publish(&name, session.take_committed_lines());
+                    let mut hub_state = hub.lock().expect("no session panics under the hub lock");
+                    let sealed = o.session.seal()?;
+                    hub_state.publish(&o.claim.name, o.session.take_committed_lines());
                     sealed
                 };
-                respond(&mut out, sealed_response(&sealed))?;
+                sealed_response(&sealed)
             }
-            Ok(Ok(Request::State)) => respond(&mut out, state_response(&session))?,
-            Ok(Ok(Request::Stats)) => respond(&mut out, stats_response(Some(&session)))?,
-            Ok(Ok(Request::Hello { .. })) | Ok(Ok(Request::Follow { .. })) => {
-                respond(&mut out, error_response("already in a session"))?;
-            }
-            Ok(Ok(Request::Quit)) | Err(_) => {
-                let _ = respond(&mut out, JsonValue::object().field("event", "bye"));
-                return Ok(());
-            }
-            Ok(Err(msg)) => respond(&mut out, error_response(&msg))?,
-        }
+            (Ok(Request::State), Some(o)) => session_summary(
+                JsonValue::object().field("event", "state"),
+                &o.session,
+                true,
+            ),
+        };
+        respond(&mut out, response)?;
+    }
+}
+
+/// Claims session `name` for this connection and opens it, or says why
+/// not: another connection serves it, or its journal does not recover.
+fn open_session(
+    cfg: &ServeConfig,
+    active: &Arc<Mutex<HashSet<String>>>,
+    hub: &Hub,
+    name: String,
+) -> Result<OpenSession, String> {
+    if !active.lock().unwrap().insert(name.clone()) {
+        return Err(format!("session `{name}` is already being served"));
+    }
+    let claim = SessionClaim {
+        name,
+        active: Arc::clone(active),
+    };
+    // Open under the hub lock: recovery truncates the journal's torn
+    // tail, which must not race a follower's bootstrap read.
+    let opened = {
+        let _ordering = hub.lock().expect("no session panics under the hub lock");
+        MarketSession::open(cfg.session(&claim.name))
+    };
+    match opened {
+        Ok(session) => Ok(OpenSession { session, claim }),
+        Err(e) => Err(format!("cannot open session `{}`: {e}", claim.name)),
     }
 }
 
@@ -1033,9 +1027,9 @@ fn run_follower_feed(
     hub: &Hub,
     session: &str,
 ) -> std::io::Result<()> {
-    let journal_path = cfg.journal_dir.join(format!("{session}.jsonl"));
+    let journal_path = cfg.session(session).journal;
     let (backlog, feed_rx) = {
-        let mut hub_state = hub.lock().unwrap();
+        let mut hub_state = hub.lock().expect("no session panics under the hub lock");
         let backlog = journal::committed_lines(&journal_path)?;
         let (feed_tx, feed_rx) = mpsc::channel::<Vec<String>>();
         hub_state
@@ -1144,22 +1138,24 @@ mod tests {
 
     #[test]
     fn snapshot_every_parses_or_panics() {
-        assert_eq!(parse_snapshot_every(None), 8);
-        assert_eq!(parse_snapshot_every(Some("0")), 0);
-        assert_eq!(parse_snapshot_every(Some(" 12 ")), 12);
+        let parse = |raw| parse_cadence(SNAPSHOT_EVERY_ENV, raw, 8, "snapshots");
+        assert_eq!(parse(None), 8);
+        assert_eq!(parse(Some("0")), 0);
+        assert_eq!(parse(Some(" 12 ")), 12);
         for bad in ["abc", "", "-1", "2.5", "8 rounds"] {
-            let result = std::panic::catch_unwind(|| parse_snapshot_every(Some(bad)));
+            let result = std::panic::catch_unwind(|| parse(Some(bad)));
             assert!(result.is_err(), "`{bad}` must panic");
         }
     }
 
     #[test]
     fn compact_every_parses_or_panics() {
-        assert_eq!(parse_compact_every(None), 0);
-        assert_eq!(parse_compact_every(Some("0")), 0);
-        assert_eq!(parse_compact_every(Some(" 16 ")), 16);
+        let parse = |raw| parse_cadence(COMPACT_EVERY_ENV, raw, 0, "compaction");
+        assert_eq!(parse(None), 0);
+        assert_eq!(parse(Some("0")), 0);
+        assert_eq!(parse(Some(" 16 ")), 16);
         for bad in ["abc", "", "-1", "2.5", "16 rounds"] {
-            let result = std::panic::catch_unwind(|| parse_compact_every(Some(bad)));
+            let result = std::panic::catch_unwind(|| parse(Some(bad)));
             assert!(result.is_err(), "`{bad}` must panic");
         }
         let _ = std::panic::catch_unwind(|| {
@@ -1345,6 +1341,30 @@ mod tests {
         }
     }
 
+    /// `offer` refuses an arrival time outside the collector's domain at
+    /// the call, before journaling anything, so the session carries on
+    /// exactly as if the call had not been made.
+    #[test]
+    fn offer_refuses_out_of_domain_time_before_journaling() {
+        let dir = temp_dir("offer-domain");
+        let ref_dir = temp_dir("offer-domain-ref");
+        let mut session = MarketSession::open(session_cfg(&dir, 2)).unwrap();
+        for at in [-1e-9, f64::NAN, f64::INFINITY] {
+            let offered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                session.offer(at, Bid::new(0, 1.0, 10, 0.5))
+            }));
+            assert!(offered.is_err(), "offer at {at} must panic");
+        }
+        assert_eq!(session.journal_events(), 0);
+        let mut reference = MarketSession::open(session_cfg(&ref_dir, 2)).unwrap();
+        assert_eq!(
+            drive_rounds(&mut session, 0..2),
+            drive_rounds(&mut reference, 0..2)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&ref_dir).ok();
+    }
+
     /// A recovery-of-a-recovery is still exact (the journal keeps
     /// growing across generations of the process).
     #[test]
@@ -1445,6 +1465,10 @@ mod tests {
             r#"{"cmd":"bid","at":0.5,"bidder":0,"cost":-1,"data":1,"quality":0.5}"#,
             r#"{"cmd":"bid","at":0.5,"bidder":0,"cost":1,"data":1,"quality":1.5}"#,
             r#"{"cmd":"bid","at":1e999,"bidder":0,"cost":1,"data":1,"quality":0.5}"#,
+            r#"{"cmd":"bid","at":-1e-9,"bidder":0,"cost":1,"data":1,"quality":0.5}"#,
+            r#"{"cmd":"bid","at":0.5,"bidder":1.5,"cost":1,"data":1,"quality":0.5}"#,
+            r#"{"cmd":"bid","at":0.5,"bidder":0,"cost":1,"data":-1,"quality":0.5}"#,
+            r#"{"cmd":"bid","at":0.5,"bidder":0,"cost":1e999,"data":1,"quality":0.5}"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad}");
         }
@@ -1455,10 +1479,148 @@ mod tests {
         out.write_all(b"\n").unwrap();
     }
 
+    fn bid_line(at: f64, bid: Bid) -> String {
+        format!(
+            r#"{{"cmd":"bid","at":{at},"bidder":{},"cost":{},"data":{},"quality":{}}}"#,
+            bid.bidder, bid.cost, bid.data_size, bid.quality
+        )
+    }
+
     fn read_event(reader: &mut BufReader<TcpStream>) -> JsonValue {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         JsonValue::parse(line.trim()).unwrap()
+    }
+
+    fn event_of(v: &JsonValue) -> &str {
+        v.get("event").and_then(JsonValue::as_str).unwrap_or("")
+    }
+
+    /// A server journaling under a fresh temp dir, running on its own
+    /// thread; returns its address and the dir.
+    fn start_server(tag: &str) -> (SocketAddr, PathBuf) {
+        let dir = temp_dir(tag);
+        let server = MarketServer::bind(ServeConfig::new("127.0.0.1:0", &dir)).unwrap();
+        let addr = server.local_addr().unwrap();
+        std::thread::spawn(move || server.run());
+        (addr, dir)
+    }
+
+    /// A client connection whose reads time out, so a server that stops
+    /// answering fails the test instead of hanging it.
+    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    /// Opens `session`, bids round 0 and seals it; returns every response
+    /// line verbatim.
+    fn drive_round_zero(
+        out: &mut TcpStream,
+        reader: &mut BufReader<TcpStream>,
+        session: &str,
+    ) -> Vec<String> {
+        let mut transcript = Vec::new();
+        send(out, &format!(r#"{{"cmd":"hello","session":"{session}"}}"#));
+        transcript.push(read_raw_line(reader));
+        for (at, bid) in offers_for_round(0) {
+            send(out, &bid_line(at, bid));
+            transcript.push(read_raw_line(reader));
+        }
+        send(out, r#"{"cmd":"seal"}"#);
+        transcript.push(read_raw_line(reader));
+        transcript
+    }
+
+    /// Out-of-domain input is answered on its own connection and leaves
+    /// the server whole. A negative arrival time used to pass the wire
+    /// check and panic the seal while it held the hub lock; the poisoned
+    /// lock then panicked every later `hello`, on any session.
+    #[test]
+    fn tcp_negative_arrival_is_refused_without_poisoning_the_server() {
+        let (clean, clean_dir) = start_server("tcp-domain-clean");
+        let (mut out, mut reader) = connect(clean);
+        let reference = drive_round_zero(&mut out, &mut reader, "b");
+        assert!(reference.last().unwrap().contains(r#""event":"sealed""#));
+
+        let (addr, dir) = start_server("tcp-domain");
+        let (mut a_out, mut a_in) = connect(addr);
+        let (mut b_out, mut b_in) = connect(addr);
+        send(&mut a_out, r#"{"cmd":"hello","session":"a"}"#);
+        assert_eq!(event_of(&read_event(&mut a_in)), "welcome");
+        send(
+            &mut a_out,
+            r#"{"cmd":"bid","at":-1e-9,"bidder":0,"cost":1,"data":10,"quality":0.5}"#,
+        );
+        let refused = read_event(&mut a_in);
+        assert_eq!(event_of(&refused), "error");
+        let message = refused.get("message").and_then(JsonValue::as_str).unwrap();
+        assert!(message.contains("`at`"), "{message}");
+        send(&mut a_out, r#"{"cmd":"seal"}"#);
+        let sealed = read_event(&mut a_in);
+        assert_eq!(event_of(&sealed), "sealed");
+        assert_eq!(sealed.get("sealed").unwrap().as_usize(), Some(0));
+
+        // The concurrent session B, connected before A's seal, then runs
+        // exactly as on a clean server.
+        assert_eq!(drive_round_zero(&mut b_out, &mut b_in, "b"), reference);
+        std::fs::remove_dir_all(&clean_dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A line of exactly `MAX_LINE` bytes is still served; one byte more
+    /// gets a named error and the connection closes.
+    #[test]
+    fn tcp_over_long_line_is_refused_and_closes_the_connection() {
+        let (addr, dir) = start_server("tcp-long");
+        let (mut out, mut reader) = connect(addr);
+        let mut full = String::from(r#"{"cmd":"stats"}"#);
+        full.push_str(&" ".repeat(MAX_LINE - full.len()));
+        send(&mut out, &full);
+        assert_eq!(event_of(&read_event(&mut reader)), "stats");
+
+        send(&mut out, &"x".repeat(MAX_LINE + 1));
+        let refused = read_event(&mut reader);
+        assert_eq!(event_of(&refused), "error");
+        let message = refused.get("message").and_then(JsonValue::as_str).unwrap();
+        assert!(message.contains("longer than 1048576 bytes"), "{message}");
+        // At most a `bye` follows, then the server closes its end (a
+        // reset is a close too: the line's tail was never read).
+        let mut rest = Vec::new();
+        loop {
+            let mut line = String::new();
+            match reader.read_line(&mut line) {
+                Ok(0) => break,
+                Ok(_) => rest.push(line),
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+                Err(e) => panic!("the connection must close, got {e}"),
+            }
+        }
+        assert!(
+            rest.iter().all(|l| l.trim() == r#"{"event":"bye"}"#),
+            "{rest:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A line that is not UTF-8 gets a named error and the connection
+    /// keeps serving.
+    #[test]
+    fn tcp_invalid_utf8_is_refused_and_the_connection_continues() {
+        let (addr, dir) = start_server("tcp-utf8");
+        let (mut out, mut reader) = connect(addr);
+        out.write_all(b"{\"cmd\":\"st\xffts\"}\n").unwrap();
+        let refused = read_event(&mut reader);
+        assert_eq!(event_of(&refused), "error");
+        let message = refused.get("message").and_then(JsonValue::as_str).unwrap();
+        assert!(message.contains("not valid UTF-8"), "{message}");
+        send(&mut out, r#"{"cmd":"stats"}"#);
+        assert_eq!(event_of(&read_event(&mut reader)), "stats");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// End-to-end over real sockets: a session drives rounds, quits,
@@ -1466,37 +1628,22 @@ mod tests {
     /// of a busy session name is refused.
     #[test]
     fn tcp_sessions_survive_reconnection() {
-        let dir = temp_dir("tcp");
-        let server = MarketServer::bind(ServeConfig::new("127.0.0.1:0", &dir)).unwrap();
-        let addr = server.local_addr().unwrap();
-        std::thread::spawn(move || server.run());
-
-        let connect = || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let reader = BufReader::new(stream.try_clone().unwrap());
-            (stream, reader)
-        };
-        let (mut out, mut reader) = connect();
+        let (addr, dir) = start_server("tcp");
+        let (mut out, mut reader) = connect(addr);
         send(&mut out, r#"{"cmd":"hello","session":"alpha"}"#);
         let welcome = read_event(&mut reader);
         assert_eq!(welcome.get("event").unwrap().as_str(), Some("welcome"));
         assert_eq!(welcome.get("rounds").unwrap().as_usize(), Some(0));
 
         // A second connection cannot claim the same live session.
-        let (mut out2, mut reader2) = connect();
+        let (mut out2, mut reader2) = connect(addr);
         send(&mut out2, r#"{"cmd":"hello","session":"alpha"}"#);
         let refused = read_event(&mut reader2);
         assert_eq!(refused.get("event").unwrap().as_str(), Some("error"));
         drop((out2, reader2));
 
         for (at, bid) in offers_for_round(0) {
-            send(
-                &mut out,
-                &format!(
-                    r#"{{"cmd":"bid","at":{at},"bidder":{},"cost":{},"data":{},"quality":{}}}"#,
-                    bid.bidder, bid.cost, bid.data_size, bid.quality
-                ),
-            );
+            send(&mut out, &bid_line(at, bid));
             let ack = read_event(&mut reader);
             assert_eq!(ack.get("event").unwrap().as_str(), Some("bid"));
             assert_eq!(ack.get("admission").unwrap().as_str(), Some("stored"));
@@ -1512,7 +1659,7 @@ mod tests {
         drop((out, reader));
 
         // Reconnect: the journal brings the session back, same digest.
-        let (mut out, mut reader) = connect();
+        let (mut out, mut reader) = connect(addr);
         send(&mut out, r#"{"cmd":"hello","session":"alpha"}"#);
         let welcome = read_event(&mut reader);
         assert_eq!(welcome.get("rounds").unwrap().as_usize(), Some(1));
@@ -1579,13 +1726,8 @@ mod tests {
     /// response parses back through the same JSON layer.
     #[test]
     fn tcp_stats_reports_registry_and_session_totals() {
-        let dir = temp_dir("tcp-stats");
-        let server = MarketServer::bind(ServeConfig::new("127.0.0.1:0", &dir)).unwrap();
-        let addr = server.local_addr().unwrap();
-        std::thread::spawn(move || server.run());
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut out = stream;
+        let (addr, dir) = start_server("tcp-stats");
+        let (mut out, mut reader) = connect(addr);
 
         // Pre-hello: a monitor polls server-wide stats without claiming
         // a session.
@@ -1602,13 +1744,7 @@ mod tests {
         read_event(&mut reader);
         for round in 0..2 {
             for (at, bid) in offers_for_round(round) {
-                send(
-                    &mut out,
-                    &format!(
-                        r#"{{"cmd":"bid","at":{at},"bidder":{},"cost":{},"data":{},"quality":{}}}"#,
-                        bid.bidder, bid.cost, bid.data_size, bid.quality
-                    ),
-                );
+                send(&mut out, &bid_line(at, bid));
                 read_event(&mut reader);
             }
             send(&mut out, r#"{"cmd":"seal"}"#);
@@ -1636,34 +1772,20 @@ mod tests {
     /// round's lines — ending in the outcome whose digest the driver saw.
     #[test]
     fn tcp_follower_streams_committed_lines() {
-        let dir = temp_dir("tcp-follow");
-        let server = MarketServer::bind(ServeConfig::new("127.0.0.1:0", &dir)).unwrap();
-        let addr = server.local_addr().unwrap();
-        std::thread::spawn(move || server.run());
-        let connect = || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let reader = BufReader::new(stream.try_clone().unwrap());
-            (stream, reader)
-        };
+        let (addr, dir) = start_server("tcp-follow");
 
         // A driver seals round 0 first, so the follower has a backlog.
-        let (mut out, mut reader) = connect();
+        let (mut out, mut reader) = connect(addr);
         send(&mut out, r#"{"cmd":"hello","session":"beta"}"#);
         read_event(&mut reader);
         for (at, bid) in offers_for_round(0) {
-            send(
-                &mut out,
-                &format!(
-                    r#"{{"cmd":"bid","at":{at},"bidder":{},"cost":{},"data":{},"quality":{}}}"#,
-                    bid.bidder, bid.cost, bid.data_size, bid.quality
-                ),
-            );
+            send(&mut out, &bid_line(at, bid));
             read_event(&mut reader);
         }
         send(&mut out, r#"{"cmd":"seal"}"#);
         read_event(&mut reader);
 
-        let (mut fout, mut freader) = connect();
+        let (mut fout, mut freader) = connect(addr);
         send(&mut fout, r#"{"cmd":"follow","session":"beta"}"#);
         let boot = read_event(&mut freader);
         assert_eq!(boot.get("event").unwrap().as_str(), Some("bootstrap"));
@@ -1679,13 +1801,7 @@ mod tests {
 
         // Seal round 1 on the driver; the batch streams to the follower.
         for (at, bid) in offers_for_round(1) {
-            send(
-                &mut out,
-                &format!(
-                    r#"{{"cmd":"bid","at":{at},"bidder":{},"cost":{},"data":{},"quality":{}}}"#,
-                    bid.bidder, bid.cost, bid.data_size, bid.quality
-                ),
-            );
+            send(&mut out, &bid_line(at, bid));
             read_event(&mut reader);
         }
         send(&mut out, r#"{"cmd":"seal"}"#);

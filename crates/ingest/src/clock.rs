@@ -7,6 +7,12 @@
 //! in, did it beat that round's deadline, and (under a grace-window
 //! policy) did it at least land inside the grace extension.
 
+/// Whether `t` is a valid arrival instant: finite and `>= 0`, the domain
+/// of [`RoundSchedule::span_of`]. Every input boundary checks it.
+pub fn valid_arrival_time(t: f64) -> bool {
+    t.is_finite() && t >= 0.0
+}
+
 /// A monotone virtual clock.
 ///
 /// Purely bookkeeping — time only advances when the ingestion loop
@@ -108,7 +114,7 @@ impl RoundSchedule {
     ///
     /// Panics on negative or non-finite timestamps.
     pub fn span_of(&self, t: f64) -> usize {
-        assert!(t.is_finite() && t >= 0.0, "timestamp {t} out of domain");
+        assert!(valid_arrival_time(t), "timestamp {t} out of domain");
         (t / self.round_len) as usize
     }
 
@@ -151,6 +157,16 @@ mod tests {
         let mut c = VirtualClock::new();
         c.advance_to(3.0);
         c.advance_to(2.0);
+    }
+
+    #[test]
+    fn arrival_time_domain() {
+        for t in [0.0, -0.0, 1e-300, 3.5, 1e300] {
+            assert!(valid_arrival_time(t), "{t}");
+        }
+        for t in [-1e-9, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!valid_arrival_time(t), "{t}");
+        }
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! Decoding is total: any malformed, truncated, or out-of-domain line
 //! yields `None` instead of panicking, because the reader uses decode
 //! failure to locate the torn tail of a crashed write.
+//! `lovm serve` requests decode bids through the same [`decode_bid`] and
+//! [`decode_at`].
 
-use auction::bid::Bid;
+use auction::bid::{Bid, BidField};
 use auction::outcome::Award;
+use ingest::clock::valid_arrival_time;
 use metrics::json::JsonValue;
 
 /// One entry in the append-only market journal.
@@ -110,16 +113,17 @@ impl JournalEvent {
         match v.get("event")?.as_str()? {
             "arrival" => Some(JournalEvent::Arrival {
                 seq: v.get("seq")?.as_u64()?,
-                at: finite(v.get("at")?.as_f64()?)?,
-                bid: bid_from_json(v.get("bid")?)?,
+                at: decode_at(&v).ok()?,
+                bid: decode_bid(v.get("bid")?).ok()?,
             }),
             "seal" => {
                 let sealed = v
                     .get("sealed")?
                     .as_array()?
                     .iter()
-                    .map(bid_from_json)
-                    .collect::<Option<Vec<Bid>>>()?;
+                    .map(decode_bid)
+                    .collect::<Result<Vec<Bid>, _>>()
+                    .ok()?;
                 Some(JournalEvent::Seal {
                     round: v.get("round")?.as_usize()?,
                     sealed,
@@ -155,20 +159,38 @@ pub(crate) fn bid_to_json(bid: &Bid) -> JsonValue {
         .field("quality", bid.quality)
 }
 
-/// Decodes a bid, re-checking the domain `Bid::new` would assert (a
-/// corrupted-but-parseable line must read as torn, not panic).
-pub(crate) fn bid_from_json(v: &JsonValue) -> Option<Bid> {
-    let cost = v.get("cost")?.as_f64()?;
-    let quality = v.get("quality")?.as_f64()?;
-    if !(cost.is_finite() && cost >= 0.0 && (0.0..=1.0).contains(&quality)) {
-        return None;
-    }
-    Some(Bid::new(
-        v.get("bidder")?.as_usize()?,
-        cost,
-        v.get("data")?.as_usize()?,
-        quality,
-    ))
+/// Decodes `v`'s arrival time `at`, which must be finite and `>= 0`; the
+/// error names `at`.
+pub fn decode_at(v: &JsonValue) -> Result<f64, &'static str> {
+    v.get("at")
+        .and_then(JsonValue::as_f64)
+        .filter(|&t| valid_arrival_time(t))
+        .ok_or("bid needs a finite `at` >= 0")
+}
+
+/// Decodes `v`'s `bidder`, `cost`, `data` and `quality` fields into a bid
+/// in [`Bid::try_new`]'s domain; the error names the first missing or
+/// out-of-domain field.
+pub fn decode_bid(v: &JsonValue) -> Result<Bid, &'static str> {
+    const COST: &str = "bid needs a non-negative finite `cost`";
+    const QUALITY: &str = "bid needs a `quality` in [0, 1]";
+    let bidder = v
+        .get("bidder")
+        .and_then(JsonValue::as_usize)
+        .ok_or("bid needs a `bidder` id")?;
+    let cost = v.get("cost").and_then(JsonValue::as_f64).ok_or(COST)?;
+    let data = v
+        .get("data")
+        .and_then(JsonValue::as_usize)
+        .ok_or("bid needs a `data` size")?;
+    let quality = v
+        .get("quality")
+        .and_then(JsonValue::as_f64)
+        .ok_or(QUALITY)?;
+    Bid::try_new(bidder, cost, data, quality).map_err(|field| match field {
+        BidField::Cost => COST,
+        BidField::Quality => QUALITY,
+    })
 }
 
 fn award_from_json(v: &JsonValue) -> Option<Award> {
@@ -178,10 +200,6 @@ fn award_from_json(v: &JsonValue) -> Option<Award> {
         value: v.get("value")?.as_f64()?,
         payment: v.get("payment")?.as_f64()?,
     })
-}
-
-fn finite(v: f64) -> Option<f64> {
-    v.is_finite().then_some(v)
 }
 
 #[cfg(test)]
@@ -274,6 +292,8 @@ mod tests {
             r#"{"event":"arrival","seq":0,"at":0.1,"bid":{"bidder":0,"cost":-1,"data":1,"quality":0.5}}"#,
             r#"{"event":"arrival","seq":0,"at":0.1,"bid":{"bidder":0,"cost":1,"data":1,"quality":1.5}}"#,
             r#"{"event":"arrival","seq":-1,"at":0.1,"bid":{"bidder":0,"cost":1,"data":1,"quality":0.5}}"#,
+            r#"{"event":"arrival","seq":0,"at":-1,"bid":{"bidder":0,"cost":1,"data":1,"quality":0.5}}"#,
+            r#"{"event":"seal","round":0,"sealed":[{"bidder":0,"cost":1,"data":1,"quality":0.5},{"bidder":1,"cost":-0.5,"data":1,"quality":0.5}]}"#,
             r#"{"event":"outcome","round":0,"awards":[],"welfare":0,"spend":0,"backlog":0,"digest":"xyz"}"#,
             r#"{"event":"mystery","round":0}"#,
             r#"[1,2,3]"#,

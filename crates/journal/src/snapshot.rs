@@ -8,7 +8,7 @@
 //! to replaying the journal from the start — the snapshot is an
 //! accelerator, never the source of truth.
 
-use crate::event::{bid_from_json, bid_to_json};
+use crate::event::{bid_to_json, decode_bid};
 use ingest::collector::AdmitClass;
 use ingest::events::Event;
 use ingest::{CollectorState, StreamTotals};
@@ -154,14 +154,13 @@ fn event_to_json(ev: &Event) -> JsonValue {
 }
 
 fn event_from_json(v: &JsonValue) -> Option<Event> {
-    let time = v.get("time")?.as_f64()?;
-    if !time.is_finite() {
-        return None;
-    }
     Some(Event {
-        time,
+        time: v
+            .get("time")?
+            .as_f64()
+            .filter(|&t| ingest::clock::valid_arrival_time(t))?,
         seq: v.get("seq")?.as_u64()?,
-        bid: bid_from_json(v.get("bid")?)?,
+        bid: decode_bid(v.get("bid")?).ok()?,
     })
 }
 

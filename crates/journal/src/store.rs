@@ -359,55 +359,8 @@ pub fn stream_events(
 }
 
 // ---------------------------------------------------------------------
-// Whole-journal views (tests, tooling, replication bootstrap).
+// Raw committed lines (diagnostics, replication bootstrap).
 // ---------------------------------------------------------------------
-
-/// What a recovery scan found in a journal file, events materialized.
-/// Prefer [`scan_meta`] + [`stream_events`] for large journals.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveredJournal {
-    /// The snapshot embedded by a compaction header, if any: `events`
-    /// holds only what the journal still stores past it.
-    pub base: Option<Snapshot>,
-    /// The committed suffix: every stored event up to and including the
-    /// last complete outcome line, in file order.
-    pub events: Vec<JournalEvent>,
-    /// Byte length of the committed prefix.
-    pub committed_bytes: u64,
-    /// Bytes past the commit point that recovery discards.
-    pub discarded_bytes: u64,
-    /// Round index of the last committed outcome, if any round committed.
-    pub last_sealed_round: Option<usize>,
-}
-
-/// Scans a journal without modifying it, materializing the committed
-/// events (see [`recover`] for the truncating variant).
-pub fn scan(path: impl AsRef<Path>) -> std::io::Result<RecoveredJournal> {
-    let meta = scan_meta(path.as_ref())?;
-    let mut events = Vec::new();
-    stream_events(
-        path.as_ref(),
-        meta.suffix_bytes,
-        meta.committed_bytes,
-        |ev| {
-            events.push(ev.clone());
-            Ok(())
-        },
-    )?;
-    Ok(RecoveredJournal {
-        base: meta.base,
-        events,
-        committed_bytes: meta.committed_bytes,
-        discarded_bytes: meta.discarded_bytes,
-        last_sealed_round: meta.last_sealed_round,
-    })
-}
-
-/// Recovers a journal in place and materializes the committed events.
-pub fn recover(path: impl AsRef<Path>) -> std::io::Result<RecoveredJournal> {
-    recover_meta(path.as_ref())?;
-    scan(path)
-}
 
 /// Reads a journal's full committed contents as raw lines — compaction
 /// header included — for diagnostics and the replication bootstrap
@@ -587,6 +540,18 @@ mod tests {
         }
     }
 
+    /// The committed events `meta` spans past the compaction header, read
+    /// the way recovery reads them.
+    fn committed_events(path: &Path, meta: &JournalMeta) -> Vec<JournalEvent> {
+        let mut events = Vec::new();
+        stream_events(path, meta.suffix_bytes, meta.committed_bytes, |ev| {
+            events.push(ev.clone());
+            Ok(())
+        })
+        .unwrap();
+        events
+    }
+
     fn write_rounds(path: &Path, rounds: std::ops::Range<usize>) -> Vec<JournalEvent> {
         let mut w = if rounds.start == 0 {
             JournalWriter::create(path).unwrap()
@@ -608,8 +573,8 @@ mod tests {
     fn write_scan_round_trips() {
         let path = temp_path("roundtrip");
         let all = write_rounds(&path, 0..3);
-        let rec = scan(&path).unwrap();
-        assert_eq!(rec.events, all);
+        let rec = scan_meta(&path).unwrap();
+        assert_eq!(committed_events(&path, &rec), all);
         assert_eq!(rec.base, None);
         assert_eq!(rec.discarded_bytes, 0);
         assert_eq!(rec.last_sealed_round, Some(2));
@@ -628,8 +593,9 @@ mod tests {
 
     #[test]
     fn missing_journal_reads_empty() {
-        let rec = scan(temp_path("missing")).unwrap();
-        assert!(rec.events.is_empty());
+        let path = temp_path("missing");
+        let rec = scan_meta(&path).unwrap();
+        assert!(committed_events(&path, &rec).is_empty());
         assert_eq!(rec.committed_bytes, 0);
         assert_eq!(rec.last_sealed_round, None);
     }
@@ -655,8 +621,8 @@ mod tests {
                 .unwrap();
         }
         let before = std::fs::metadata(&path).unwrap().len();
-        let rec = recover(&path).unwrap();
-        assert_eq!(rec.events, committed);
+        let rec = recover_meta(&path).unwrap();
+        assert_eq!(committed_events(&path, &rec), committed);
         assert_eq!(rec.last_sealed_round, Some(0));
         // The file itself was truncated to the commit point.
         let after = std::fs::metadata(&path).unwrap().len();
@@ -664,8 +630,11 @@ mod tests {
         assert!(after < before);
         // A second recovery is a no-op fixpoint: same committed prefix,
         // nothing left to discard.
-        let again = recover(&path).unwrap();
-        assert_eq!(again.events, rec.events);
+        let again = recover_meta(&path).unwrap();
+        assert_eq!(
+            committed_events(&path, &again),
+            committed_events(&path, &rec)
+        );
         assert_eq!(again.committed_bytes, rec.committed_bytes);
         assert_eq!(again.discarded_bytes, 0);
         std::fs::remove_file(&path).ok();
@@ -678,16 +647,17 @@ mod tests {
         let mut w = JournalWriter::open_append(&path, 4).unwrap();
         w.append(&arrival(7, 1.1, 3)).unwrap(); // uncommitted
         drop(w);
-        let rec = recover(&path).unwrap();
-        let mut w = JournalWriter::open_append(&path, rec.events.len() as u64).unwrap();
+        let rec = recover_meta(&path).unwrap();
+        let mut w =
+            JournalWriter::open_append(&path, committed_events(&path, &rec).len() as u64).unwrap();
         assert_eq!(w.events(), 4);
         for ev in round_events(1) {
             w.append(&ev).unwrap();
         }
         w.sync().unwrap();
         drop(w);
-        let full = scan(&path).unwrap();
-        assert_eq!(full.events.len(), 8);
+        let full = scan_meta(&path).unwrap();
+        assert_eq!(committed_events(&path, &full).len(), 8);
         assert_eq!(full.last_sealed_round, Some(1));
         assert_eq!(full.discarded_bytes, 0);
         std::fs::remove_file(&path).ok();
@@ -731,9 +701,13 @@ mod tests {
         assert_eq!(stats.bytes_before, before);
         assert!(stats.bytes_after < before);
 
-        let rec = scan(&path).unwrap();
+        let rec = scan_meta(&path).unwrap();
         assert_eq!(rec.base, Some(snap.clone()));
-        assert_eq!(rec.events, all[8..].to_vec(), "suffix survives verbatim");
+        assert_eq!(
+            committed_events(&path, &rec),
+            all[8..].to_vec(),
+            "suffix survives verbatim"
+        );
         assert_eq!(rec.last_sealed_round, Some(2));
         let meta = scan_meta(&path).unwrap();
         assert_eq!(meta.base_events(), 8);
@@ -780,9 +754,9 @@ mod tests {
         write_rounds(&path, 2..4);
         let snap3 = boundary_snapshot(3);
         assert_eq!(compact(&path, &snap3).unwrap().dropped_events, 8);
-        let rec = scan(&path).unwrap();
+        let rec = scan_meta(&path).unwrap();
         assert_eq!(rec.base, Some(snap3));
-        assert_eq!(rec.events, round_events(3));
+        assert_eq!(committed_events(&path, &rec), round_events(3));
         std::fs::remove_file(&path).ok();
     }
 
@@ -814,8 +788,8 @@ mod tests {
             meta.discarded_bytes > 0,
             "in-flight arrivals must survive the rewrite"
         );
-        let rec = scan(&path).unwrap();
-        assert_eq!(rec.events, round_events(1));
+        let rec = scan_meta(&path).unwrap();
+        assert_eq!(committed_events(&path, &rec), round_events(1));
         std::fs::remove_file(&path).ok();
     }
 
@@ -831,9 +805,9 @@ mod tests {
             f.write_all(br#"{"event":"arrival","seq":8,"at":2.1,"bi"#)
                 .unwrap();
         }
-        let rec = recover(&path).unwrap();
+        let rec = recover_meta(&path).unwrap();
         assert_eq!(rec.base, Some(snap));
-        assert!(rec.events.is_empty());
+        assert!(committed_events(&path, &rec).is_empty());
         assert_eq!(
             rec.last_sealed_round,
             Some(1),
@@ -855,9 +829,9 @@ mod tests {
             line.push('\n');
             f.write_all(line.as_bytes()).unwrap();
         }
-        let rec = scan(&path).unwrap();
+        let rec = scan_meta(&path).unwrap();
         assert_eq!(rec.base, None);
-        assert_eq!(rec.events.len(), 4);
+        assert_eq!(committed_events(&path, &rec).len(), 4);
         assert!(rec.discarded_bytes > 0);
         std::fs::remove_file(&path).ok();
     }

@@ -288,7 +288,8 @@ echo "ci: serve kill-and-recover smoke ok (byte-identical after SIGKILL)"
 # Hostile-input smoke: one line of 300 000 `[` must get a named error on
 # its own connection — before the JSON nesting cap it overflowed the
 # reader thread's stack and aborted the whole server — and the same
-# process must then serve the reference session byte-identically.
+# process must then serve the reference session byte-identically. The
+# line stays under the server's 1 MiB line cap, so it reaches the parser.
 start_server "$smoke_dir/hostile" "$smoke_dir/hostile.log"
 exec 3<>"/dev/tcp/${serve_addr%:*}/${serve_addr##*:}"
 { head -c 300000 /dev/zero | tr '\0' '['; printf '\n'; } >&3
@@ -299,17 +300,41 @@ if ! printf '%s\n' "$hostile_reply" | grep -q '"event":"error".*nesting too deep
   echo "ci: FAIL — deep-nesting line did not get a nesting error, got: ${hostile_reply:0:200}"
   exit 1
 fi
-drive --from 0 --to 8 >"$smoke_dir/hostile.out"
+# A hostile session then bids at a negative arrival time and seals. The
+# bid must get an error naming `at`: before the wire checked the
+# collector's time domain, the seal panicked while holding the server's
+# replication lock and poisoned it, so every later `hello` panicked and
+# the drive below hung — hence its timeout.
+exec 3<>"/dev/tcp/${serve_addr%:*}/${serve_addr##*:}"
+printf '%s\n' '{"cmd":"hello","session":"hostile"}' \
+  '{"cmd":"bid","at":-1e-9,"bidder":0,"cost":1,"data":10,"quality":0.5}' \
+  '{"cmd":"seal"}' >&3
+hostile_replies=()
+for _ in 1 2 3; do
+  hostile_reply=""
+  IFS= read -r -t 10 hostile_reply <&3 || true
+  hostile_replies+=("$hostile_reply")
+done
+exec 3<&-
+if ! printf '%s\n' "${hostile_replies[1]}" | grep -q '"event":"error".*`at`'; then
+  echo "ci: FAIL — negative-time bid did not get an error naming \`at\`, got: ${hostile_replies[1]:0:200}"
+  exit 1
+fi
+if ! timeout 60 ./target/release/lovm drive --addr "$serve_addr" --session smoke \
+    --seed 7 --bidders 6 --from 0 --to 8 >"$smoke_dir/hostile.out" 2>/dev/null; then
+  echo "ci: FAIL — drive after the hostile session failed or hung"
+  exit 1
+fi
 if ! kill -0 "$serve_pid" 2>/dev/null; then
-  echo "ci: FAIL — lovm serve died after the deep-nesting line"
+  echo "ci: FAIL — lovm serve died after the hostile input"
   exit 1
 fi
 stop_server TERM
 if ! diff -q <(grep '"event":"sealed"' "$smoke_dir/hostile.out") "$smoke_dir/ref.sealed" >/dev/null; then
-  echo "ci: FAIL — sealed rounds after the deep-nesting line differ from the reference run"
+  echo "ci: FAIL — sealed rounds after the hostile input differ from the reference run"
   exit 1
 fi
-echo "ci: hostile-input smoke ok (deep nesting refused, same process serves byte-identically)"
+echo "ci: hostile-input smoke ok (deep nesting and negative time refused, same process serves byte-identically)"
 
 # Kill-and-promote smoke for live replication: a leader serves with
 # journal compaction on, `lovm follow` replicates it into its own journal

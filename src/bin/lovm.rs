@@ -45,7 +45,7 @@ use std::process::ExitCode;
 use sustainable_fl::core::offline::{competitive_ratio, offline_benchmark};
 use sustainable_fl::core::serve::{
     compact_every_from_env, journal_dir_from_env, snapshot_every_from_env, MarketServer,
-    MarketSession, ServeConfig, SessionConfig,
+    MarketSession, ServeConfig,
 };
 use sustainable_fl::prelude::*;
 
@@ -303,7 +303,7 @@ fn run() -> Result<(), String> {
             println!("{}", table.to_markdown());
             Ok(())
         }
-        "serve" => serve(&args),
+        "serve" => run_server(serve_config(&args, &args.addr)),
         "drive" => drive(&args),
         "follow" => follow(&args),
         "attack" => attack(&args),
@@ -341,12 +341,7 @@ fn attack(args: &Args) -> Result<(), String> {
         Trace::from_csv(&text).map_err(|e| format!("{}: {e}", args.trace))?
     };
     let ingest = sustainable_fl::ingest::IngestConfig::from_env();
-    let lovm = LovmConfig {
-        v: args.v,
-        budget_per_round: args.budget,
-        max_winners: Some(args.k),
-        ..LovmConfig::default()
-    };
+    let lovm = lovm_config(args);
     let policy = format!(
         "{}@{}",
         match ingest.late_policy {
@@ -393,18 +388,25 @@ fn attack(args: &Args) -> Result<(), String> {
     }
 }
 
+/// The mechanism the `--v`, `--budget` and `--k` flags select.
+fn lovm_config(args: &Args) -> LovmConfig {
+    LovmConfig {
+        v: args.v,
+        budget_per_round: args.budget,
+        max_winners: Some(args.k),
+        ..LovmConfig::default()
+    }
+}
+
+/// The server configuration: flags for the mechanism, the environment
+/// for the journal directory, cadences and ingest settings.
 fn serve_config(args: &Args, addr: &str) -> ServeConfig {
     ServeConfig {
         addr: addr.into(),
         journal_dir: journal_dir_from_env(),
         snapshot_every: snapshot_every_from_env(),
         compact_every: compact_every_from_env(),
-        lovm: LovmConfig {
-            v: args.v,
-            budget_per_round: args.budget,
-            max_winners: Some(args.k),
-            ..LovmConfig::default()
-        },
+        lovm: lovm_config(args),
         ingest: sustainable_fl::ingest::IngestConfig::from_env(),
     }
 }
@@ -419,18 +421,17 @@ fn run_server(cfg: ServeConfig) -> Result<(), String> {
     server.run().map_err(|e| e.to_string())
 }
 
-fn serve(args: &Args) -> Result<(), String> {
-    run_server(serve_config(args, &args.addr))
-}
-
 /// Attaches a live replica to a serving leader (see the module docs):
 /// bootstrap the committed journal verbatim, replay the live feed
 /// through `MarketSession::apply_replicated` (each journaled digest
 /// verified bitwise), and on leader death promote to a full server on
 /// `--serve-addr`.
 fn follow(args: &Args) -> Result<(), String> {
-    let journal_dir = journal_dir_from_env();
-    std::fs::create_dir_all(&journal_dir).map_err(|e| e.to_string())?;
+    // The replica's session config is the one its promoted server will
+    // open, so promotion replays the same files under the same settings.
+    let cfg = serve_config(args, &args.serve_addr);
+    let session_cfg = cfg.session(&args.session);
+    std::fs::create_dir_all(&cfg.journal_dir).map_err(|e| e.to_string())?;
     let stream =
         TcpStream::connect(&args.addr).map_err(|e| format!("connect {}: {e}", args.addr))?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
@@ -451,9 +452,8 @@ fn follow(args: &Args) -> Result<(), String> {
     // The bootstrap *is* the leader's committed journal (compaction
     // header included): write it verbatim so the replica journal starts
     // byte-identical, then open it through the normal recovery path.
-    let journal_path = journal_dir.join(format!("{}.jsonl", args.session));
     {
-        let mut file = std::fs::File::create(&journal_path).map_err(|e| e.to_string())?;
+        let mut file = std::fs::File::create(&session_cfg.journal).map_err(|e| e.to_string())?;
         for _ in 0..backlog {
             let line = read_line(&mut reader)?;
             file.write_all(line.as_bytes())
@@ -467,17 +467,6 @@ fn follow(args: &Args) -> Result<(), String> {
         return Err(format!("expected the live marker, got `{live_raw}`"));
     }
 
-    let mut session_cfg = SessionConfig::new(&journal_path);
-    session_cfg.snapshot = Some(journal_dir.join(format!("{}.snapshot.json", args.session)));
-    session_cfg.snapshot_every = snapshot_every_from_env();
-    session_cfg.compact_every = compact_every_from_env();
-    session_cfg.lovm = LovmConfig {
-        v: args.v,
-        budget_per_round: args.budget,
-        max_winners: Some(args.k),
-        ..LovmConfig::default()
-    };
-    session_cfg.ingest = sustainable_fl::ingest::IngestConfig::from_env();
     let mut session =
         MarketSession::open(session_cfg).map_err(|e| format!("cannot open replica: {e}"))?;
     eprintln!(
@@ -522,8 +511,6 @@ fn follow(args: &Args) -> Result<(), String> {
         args.serve_addr
     );
     drop(session);
-    let mut cfg = serve_config(args, &args.serve_addr);
-    cfg.journal_dir = journal_dir;
     run_server(cfg)
 }
 
