@@ -152,10 +152,10 @@ pub fn pick_partner(trace: &Trace, focal: usize, topology: MarketTopology) -> us
         .expect("focal client has no shard-mate to collude with")
 }
 
-/// Replays `arrivals` through ingest → seal → VCG for `rounds` rounds,
-/// mirroring the virtual-time driver loop: offer everything with
-/// `at ≤ seal_time(round)`, then seal. Utilities and wins are charged to
-/// the focal set at *true* costs from `trace`.
+/// Replays `arrivals` through ingest → seal → VCG for `rounds` rounds:
+/// [`ingest::drive`] seals the stream, then LOVM clears each sealed round
+/// in order. Utilities and wins are charged to the focal set at *true*
+/// costs from `trace`.
 fn replay(
     trace: &Trace,
     arrivals: &[workload::arrivals::TimedBid],
@@ -165,7 +165,6 @@ fn replay(
     rounds: usize,
     pool: par::Pool,
 ) -> Replay {
-    let mut collector = RoundCollector::new(&cell.ingest);
     let mut lovm = Lovm::new(lovm_config.with_topology(cell.topology));
     let mut run = Replay {
         focal_utility: 0.0,
@@ -177,21 +176,10 @@ fn replay(
             .count(),
         total_payment: 0.0,
     };
-    let mut i = 0usize;
-    for round in 0..rounds {
-        let seal = collector.schedule().seal_time(round);
-        while i < arrivals.len() && arrivals[i].at <= seal {
-            collector.offer(arrivals[i]);
-            i += 1;
-        }
-        let collected = collector.seal_next();
-        run.focal_sealed += collected
-            .sealed
-            .bids()
-            .iter()
-            .filter(|b| focal.contains(&b.bidder))
-            .count();
-        let outcome = lovm.round_on(collected.sealed.bids(), pool);
+    for collected in ingest::drive(arrivals, rounds, &cell.ingest).rounds {
+        let bids = collected.sealed.bids();
+        run.focal_sealed += bids.iter().filter(|b| focal.contains(&b.bidder)).count();
+        let outcome = lovm.round_on(bids, pool);
         for &f in focal {
             run.focal_utility += utility(&outcome, f, trace.true_cost(f));
             if outcome.is_winner(f) {

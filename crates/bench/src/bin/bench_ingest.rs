@@ -1,20 +1,15 @@
-//! Ingestion-throughput microbenchmarks: sealed-rounds/sec for the
-//! virtual-time driver vs the threaded (`std::sync::mpsc`) driver on
-//! pre-generated Poisson arrival streams of 10⁴–10⁶ bids.
+//! Ingestion-throughput microbenchmarks: sealed-rounds/sec for
+//! `ingest::drive`, the virtual-time ingest loop, on pre-generated Poisson
+//! arrival streams of 10⁴–10⁶ bids.
 //!
-//! Rows are named `{arrivals}_{driver}`; the human summary on stderr
-//! converts each median into sealed-rounds/sec and arrivals/sec. The
-//! drivers produce bit-identical sealed rounds in lossless mode (see
-//! `ingest::driver`), so this is a like-for-like pipeline comparison:
-//! the virtual driver measures the pure ingestion loop, the threaded
-//! driver adds real channel hops and thread wakeups.
+//! Rows are named `{arrivals}_virtual`; the human summary on stderr
+//! converts each median into sealed-rounds/sec and arrivals/sec.
 //!
 //! The 10⁶ row re-drives a million-arrival stream per sample; to keep the
 //! default run short it caps its sample count at 5 (`LOVM_BENCH_SAMPLES`
 //! below 5 is honored).
 
 use bench::harness::{BenchConfig, Bencher};
-use ingest::driver::{StreamDriver, ThreadedDriver, VirtualTimeDriver};
 use ingest::{IngestConfig, LateBidPolicy};
 use std::hint::black_box;
 use workload::arrivals::{ArrivalKind, ArrivalProcess, TimedBid};
@@ -36,7 +31,6 @@ fn main() {
         capacity: 16_384,
         ..IngestConfig::default()
     };
-    let threads = par::configured_threads();
 
     for n in [10_000usize, 100_000, 1_000_000] {
         let (arrivals, rounds) = stream(n);
@@ -55,24 +49,14 @@ fn main() {
 
         let virtual_ns = group
             .bench(&format!("{n}_virtual"), || {
-                VirtualTimeDriver.drive(black_box(&arrivals), rounds, &cfg)
-            })
-            .median_ns;
-        let threaded_ns = group
-            .bench(&format!("{n}_threaded{threads}"), || {
-                ThreadedDriver::new(&par::Pool::auto()).drive(black_box(&arrivals), rounds, &cfg)
+                ingest::drive(black_box(&arrivals), rounds, &cfg)
             })
             .median_ns;
 
-        let per_sec = |ns: f64| rounds as f64 / (ns * 1e-9);
         eprintln!(
-            "ingest_drive/{n}: virtual {:.0} sealed-rounds/s ({:.2}M arrivals/s), \
-             threaded({threads}p) {:.0} sealed-rounds/s ({:.2}M arrivals/s), ratio {:.2}x",
-            per_sec(virtual_ns),
+            "ingest_drive/{n}: {:.0} sealed-rounds/s ({:.2}M arrivals/s)",
+            rounds as f64 / (virtual_ns * 1e-9),
             n as f64 / (virtual_ns * 1e-9) / 1e6,
-            per_sec(threaded_ns),
-            n as f64 / (threaded_ns * 1e-9) / 1e6,
-            threaded_ns / virtual_ns
         );
     }
 }

@@ -8,11 +8,10 @@
 //!
 //! Ingestion knobs in every table are pinned in code (not taken from
 //! `LOVM_DEADLINE`/`LOVM_LATE_POLICY`/`LOVM_BUFFER`), and the virtual-time
-//! driver is deterministic at any worker or shard count, so the output is
-//! golden-pinnable with no masked columns.
+//! ingest loop (`ingest::drive`) is deterministic at any worker or shard
+//! count, so the output is golden-pinnable with no masked columns.
 
 use bench::{header, scale_scenario};
-use ingest::driver::{StreamDriver, VirtualTimeDriver};
 use ingest::{Backpressure, IngestConfig, LateBidPolicy};
 use lovm_core::lovm::{Lovm, LovmConfig};
 use lovm_core::simulation::simulate;
@@ -159,7 +158,7 @@ fn main() {
                 capacity,
                 ..IngestConfig::default()
             };
-            let run = VirtualTimeDriver.drive(stream, rounds, &cfg);
+            let run = ingest::drive(stream, rounds, &cfg);
             table.row(vec![
                 stream_label.into(),
                 bp_label.into(),

@@ -28,18 +28,41 @@ pub struct BenchConfig {
     pub target_batch_ns: u64,
 }
 
+/// Name of the environment variable setting the measured samples.
+const SAMPLES_ENV: &str = "LOVM_BENCH_SAMPLES";
+
+/// Name of the environment variable setting the target batch duration.
+const BATCH_NS_ENV: &str = "LOVM_BENCH_BATCH_NS";
+
 impl Default for BenchConfig {
+    /// # Panics
+    ///
+    /// Panics when either variable is set to anything but a positive
+    /// integer (`0`, `-1`, `abc`, an empty string), naming the variable.
     fn default() -> Self {
-        let env_usize = |key: &str, default: usize| {
-            std::env::var(key)
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(default)
+        Self::from_env_values(
+            std::env::var(SAMPLES_ENV).ok().as_deref(),
+            std::env::var(BATCH_NS_ENV).ok().as_deref(),
+        )
+    }
+}
+
+impl BenchConfig {
+    /// The parse behind [`BenchConfig::default`], with the raw variable
+    /// values injected; `None` means unset (keep the default).
+    fn from_env_values(samples: Option<&str>, batch_ns: Option<&str>) -> Self {
+        let positive = |name: &str, raw: Option<&str>, default: u64| {
+            raw.map_or(default, |raw| {
+                raw.trim()
+                    .parse::<u64>()
+                    .ok()
+                    .filter(|&v| v > 0)
+                    .unwrap_or_else(|| panic!("{name} must be a positive integer, got `{raw}`"))
+            })
         };
         Self {
-            samples: env_usize("LOVM_BENCH_SAMPLES", 50),
-            target_batch_ns: env_usize("LOVM_BENCH_BATCH_NS", 2_000_000) as u64,
+            samples: positive(SAMPLES_ENV, samples, 50) as usize,
+            target_batch_ns: positive(BATCH_NS_ENV, batch_ns, 2_000_000),
         }
     }
 }
@@ -216,5 +239,28 @@ mod tests {
             assert!(line.contains(key), "missing {key} in {line}");
         }
         assert!(line.starts_with("{\"bench\":\"test/noop\""));
+    }
+
+    #[test]
+    fn env_values_parse_or_panic() {
+        let unset = BenchConfig::from_env_values(None, None);
+        assert_eq!((unset.samples, unset.target_batch_ns), (50, 2_000_000));
+        let set = BenchConfig::from_env_values(Some("5"), Some(" 200000 "));
+        assert_eq!((set.samples, set.target_batch_ns), (5, 200_000));
+        for bad in ["0", "-1", "abc", "", "2.5"] {
+            for (samples, batch_ns, name) in [
+                (Some(bad), None, SAMPLES_ENV),
+                (None, Some(bad), BATCH_NS_ENV),
+            ] {
+                let err =
+                    std::panic::catch_unwind(|| BenchConfig::from_env_values(samples, batch_ns))
+                        .expect_err(&format!("{name}=`{bad}` must panic"));
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(
+                    msg.contains(&format!("{name} must be a positive integer")),
+                    "unhelpful panic message for {name}=`{bad}`: {msg}"
+                );
+            }
+        }
     }
 }

@@ -38,15 +38,34 @@ pub fn random_bids(n: usize, seed: u64) -> Vec<Bid> {
         .collect()
 }
 
+/// Name of the environment variable scaling experiment sizes.
+const SCALE_ENV: &str = "LOVM_SCALE";
+
 /// Scale factor for experiment sizes, from `LOVM_SCALE` (default 1.0).
 /// `LOVM_SCALE=0.1 cargo run --bin exp_e1_welfare` gives a 10× faster smoke
 /// run with the same code path.
+///
+/// # Panics
+///
+/// Panics when the variable is set to anything but a finite positive
+/// number (`0`, `-1`, `0,1`, an empty string): a mistyped smoke must fail
+/// at startup, not silently run the full-size experiment.
 pub fn scale() -> f64 {
-    std::env::var("LOVM_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|&s| s > 0.0)
-        .unwrap_or(1.0)
+    parse_scale(std::env::var(SCALE_ENV).ok().as_deref())
+}
+
+/// The parse behind [`scale`], with the raw variable value injected;
+/// `None` means unset (full size).
+fn parse_scale(raw: Option<&str>) -> f64 {
+    raw.map_or(1.0, |raw| {
+        raw.trim()
+            .parse::<f64>()
+            .ok()
+            .filter(|s| s.is_finite() && *s > 0.0)
+            .unwrap_or_else(|| {
+                panic!("{SCALE_ENV} must be a finite positive number such as `0.1`, got `{raw}`")
+            })
+    })
 }
 
 /// Applies [`scale`] to a round/size count (at least 10).
@@ -170,5 +189,21 @@ mod tests {
     #[test]
     fn scaled_has_floor() {
         assert!(scaled(1000) >= 10);
+    }
+
+    #[test]
+    fn scale_env_parses_or_panics() {
+        assert_eq!(parse_scale(None), 1.0);
+        assert_eq!(parse_scale(Some("0.1")), 0.1);
+        assert_eq!(parse_scale(Some(" 2 ")), 2.0);
+        for bad in ["0", "-1", "0,1", "abc", "", "inf", "NaN"] {
+            let err = std::panic::catch_unwind(|| parse_scale(Some(bad)))
+                .expect_err(&format!("`{bad}` must panic"));
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("LOVM_SCALE must be a finite positive number"),
+                "unhelpful panic message for `{bad}`: {msg}"
+            );
+        }
     }
 }

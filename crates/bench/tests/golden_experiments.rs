@@ -75,8 +75,8 @@ golden!(
 // invariant on top of the usual thread-count invariance.
 golden!(e14_sharding, exp_e14_sharding, "e14_sharding");
 // e15 pins its ingestion knobs in code (not LOVM_DEADLINE etc.) and runs
-// on the deterministic virtual-time driver, so its snapshot is invariant
-// across worker and shard counts with no masked columns at all.
+// on the deterministic virtual-time `ingest::drive`, so its snapshot is
+// invariant across worker and shard counts with no masked columns at all.
 golden!(e15_streaming, exp_e15_streaming, "e15_streaming");
 // e16 pins every topology per cell in code and replays seeded traces
 // through the deterministic ingest path, so its snapshot — regret tables

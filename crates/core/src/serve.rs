@@ -21,9 +21,8 @@
 //! [`MarketServer`] wraps sessions in a zero-dependency
 //! `std::net::TcpListener` accept loop: one thread per connection, each
 //! connection a reader-producer feeding a bounded `mpsc` channel into
-//! the market loop (the same producer/consumer discipline as
-//! `ingest::ThreadedDriver` — a disconnected peer is a graceful stop,
-//! never a panic). Many sessions run concurrently, each with its own
+//! the market loop (a disconnected peer is a graceful stop, never a
+//! panic). Many sessions run concurrently, each with its own
 //! journal file keyed by the client-chosen session name.
 //!
 //! **Replication.** A connection that says `follow` instead of `hello`
@@ -247,7 +246,7 @@ impl MarketSession {
             Some(snap) => {
                 lovm.restore_backlog(snap.backlog);
                 (
-                    RoundCollector::restore(&cfg.ingest, cfg.ingest.capacity, &snap.collector),
+                    RoundCollector::restore(&cfg.ingest, &snap.collector),
                     Digest::resume(snap.digest),
                     snap.welfare,
                     snap.spend,
@@ -878,7 +877,7 @@ impl MarketServer {
 const MAX_LINE: usize = 1 << 20;
 
 /// The connection's reader half, a producer feeding the bounded channel
-/// like `ingest::ThreadedDriver` (it stops once the market loop is gone).
+/// (it stops once the market loop is gone).
 /// An over-long line ends the connection; an invalid-UTF-8 one does not.
 fn read_requests(stream: TcpStream, tx: mpsc::SyncSender<Result<Request, String>>) {
     let mut reader = BufReader::new(stream);

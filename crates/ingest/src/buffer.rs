@@ -4,10 +4,8 @@
 //! module is the *admission controller* in front of it. A buffer has a hard
 //! `capacity` and one of two overflow behaviours:
 //!
-//! * [`Backpressure::Block`] — the producer stalls. In virtual time a
-//!   blocked arrival is parked and re-offered at the next seal (when the
-//!   queue drains); in the threaded driver the producer thread really
-//!   blocks on the bounded channel.
+//! * [`Backpressure::Block`] — the producer stalls: a blocked arrival is
+//!   parked and re-offered at the next seal (when the queue drains).
 //! * [`Backpressure::Shed { watermark }`] — load shedding: once occupancy
 //!   reaches `watermark · capacity`, new arrivals are dropped on the floor
 //!   and counted. Memory stays bounded no matter how fast bids arrive; the
@@ -43,9 +41,7 @@ pub enum Admission {
 /// Occupancy accounting for the bounded buffer.
 ///
 /// The buffer does not own the bids (the event queue does); it owns the
-/// *count* and the admission decision, so the same component serves the
-/// virtual-time driver (modeled occupancy) and the threaded driver
-/// (channel-backed occupancy).
+/// *count* and the admission decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalBuffer {
     capacity: usize,

@@ -49,7 +49,7 @@ impl VirtualClock {
     }
 }
 
-/// The round/deadline geometry shared by the collector and the drivers.
+/// The round/deadline geometry shared by the collector and its callers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundSchedule {
     round_len: f64,

@@ -27,7 +27,8 @@
 //! Determinism: the queue drains in `(time, seq)` order, sealed bids are
 //! sorted by bidder, and every count derives from timestamps — so a given
 //! offered sequence produces bit-identical sealed rounds and stats no
-//! matter which driver (virtual-time or threaded) delivered it.
+//! matter who delivered it ([`crate::drive`], a live `lovm serve`
+//! session, or a journal replay).
 
 use crate::buffer::{Admission, ArrivalBuffer};
 use crate::clock::{RoundSchedule, VirtualClock};
@@ -140,20 +141,13 @@ impl RoundCollector {
     ///
     /// Panics on out-of-domain configuration (see [`IngestConfig`]).
     pub fn new(cfg: &IngestConfig) -> Self {
-        Self::with_capacity(cfg, cfg.capacity)
-    }
-
-    /// [`RoundCollector::new`] with an explicit buffer capacity — the
-    /// threaded driver passes `usize::MAX` because its bounded channel
-    /// already is the buffer.
-    pub fn with_capacity(cfg: &IngestConfig, capacity: usize) -> Self {
         let schedule = RoundSchedule::new(cfg.round_len, cfg.deadline, cfg.late_policy.grace());
         RoundCollector {
             schedule,
             policy: cfg.late_policy,
             clock: VirtualClock::new(),
             queue: EventQueue::new(),
-            buffer: ArrivalBuffer::new(capacity, cfg.backpressure),
+            buffer: ArrivalBuffer::new(cfg.capacity, cfg.backpressure),
             parked: VecDeque::new(),
             pending: BTreeMap::new(),
             next_round: 0,
@@ -198,9 +192,9 @@ impl RoundCollector {
         self.offer_at(seq, tb)
     }
 
-    /// Offers one arrival under an explicit sequence number (the threaded
-    /// driver passes each arrival's original stream index so interleaved
-    /// producers reproduce the virtual driver's tie-breaking exactly).
+    /// Offers one arrival under an explicit sequence number (a `lovm
+    /// serve` session passes the sequence number it journals, so a replay
+    /// of the journal reproduces the live tie-breaking exactly).
     /// Mixing `offer_at` with [`RoundCollector::offer`] on one collector
     /// is a caller bug; pick one.
     pub fn offer_at(&mut self, seq: u64, tb: TimedBid) -> Admission {
@@ -261,10 +255,10 @@ impl RoundCollector {
 
     /// Rebuilds a collector from an exported [`CollectorState`] so it
     /// continues *bit-identically* with the original: same sealed rounds,
-    /// same stats, same sequence numbering. `capacity` must match the one
-    /// the exporting collector was built with.
-    pub fn restore(cfg: &IngestConfig, capacity: usize, state: &CollectorState) -> Self {
-        let mut c = Self::with_capacity(cfg, capacity);
+    /// same stats, same sequence numbering. `cfg` must match the one the
+    /// exporting collector was built with.
+    pub fn restore(cfg: &IngestConfig, state: &CollectorState) -> Self {
+        let mut c = Self::new(cfg);
         c.next_round = state.next_round;
         c.next_seq = state.next_seq;
         c.offered = state.offered;
@@ -608,7 +602,7 @@ mod tests {
                     original.seal_next();
                 }
                 let state = original.export_state();
-                let mut restored = RoundCollector::restore(&config, config.capacity, &state);
+                let mut restored = RoundCollector::restore(&config, &state);
                 assert_eq!(restored.export_state(), state, "round-trip export");
                 assert_eq!(restored.next_round(), original.next_round());
                 assert_eq!(restored.now(), original.now());

@@ -1,33 +1,14 @@
-//! Stream drivers: who moves arrivals into the collector.
+//! The ingest loop: how a finite arrival stream reaches the collector.
 //!
-//! The collector is driver-agnostic; a [`StreamDriver`] owns the question
-//! of *how* a stream of [`TimedBid`]s reaches it:
-//!
-//! * [`VirtualTimeDriver`] — single-threaded, virtual time. Arrivals are
-//!   offered exactly when due and every backpressure decision is modeled
-//!   deterministically. This is the tested default: a seeded stream is a
-//!   pure function of its inputs, bit-identical everywhere.
-//! * [`ThreadedDriver`] — real producer threads and a bounded
-//!   `std::sync::mpsc` channel ([`std::sync::mpsc::sync_channel`]), sized
-//!   by the configured buffer capacity. Producers are sized from a
-//!   [`par::Pool`]; the stream is partitioned round-robin and the consumer
-//!   re-merges by `(time, seq)` through the collector's event queue, so
-//!   with `Backpressure::Block` the sealed output is **bit-identical to
-//!   the virtual driver at any producer count, as long as the buffer
-//!   itself never fills** — the same index-order guarantee `crates/par`
-//!   gives the batch layers. At saturation the two Block models
-//!   legitimately differ: the virtual driver *re-times* a blocked arrival
-//!   (it re-enters late, and the late policy decides it), while a blocked
-//!   producer thread delivers the arrival with its original timestamp
-//!   once the channel frees. With `Backpressure::Shed` the channel drops
-//!   arrivals under real-time pressure (counted, but timing-dependent):
-//!   honest lossy mode, not for golden tests.
+//! [`drive`] runs in virtual time on the caller's thread. Arrivals are
+//! offered exactly when due and every backpressure decision is modeled
+//! deterministically, so a seeded stream is a pure function of its inputs,
+//! bit-identical everywhere. The live, threaded ingest is `lovm serve`,
+//! which feeds its own collector one request at a time.
 
 use crate::collector::{CollectedRound, RoundCollector};
 use crate::stats::StreamTotals;
 use crate::IngestConfig;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use workload::arrivals::TimedBid;
 
 /// A completed streaming run.
@@ -35,245 +16,34 @@ use workload::arrivals::TimedBid;
 pub struct StreamRun {
     /// Every sealed round, in order.
     pub rounds: Vec<CollectedRound>,
-    /// Aggregates over the per-round stats (plus channel-level shed for
-    /// the threaded driver).
+    /// Aggregates over the per-round stats.
     pub totals: StreamTotals,
     /// Arrivals from the input that never reached the collector (their
     /// timestamps lie beyond the final seal).
     pub leftover: usize,
 }
 
-/// Observes an ingestion stream as a driver moves it: every arrival the
-/// collector accepted (with its stream sequence number) and every sealed
-/// round, in collector order. This is the journaling hook for the
-/// event-sourced server — an observer that appends each callback to an
-/// append-only log captures exactly the information needed to replay the
-/// run bit-identically.
-///
-/// Callbacks always come from the consumer side (single-threaded even
-/// under the threaded driver), so an observer needs no synchronization.
-pub trait IngestObserver {
-    /// An arrival was offered to the collector under sequence number
-    /// `seq`.
-    fn on_arrival(&mut self, seq: u64, tb: &TimedBid) {
-        let _ = (seq, tb);
-    }
-
-    /// A round was sealed.
-    fn on_seal(&mut self, round: &CollectedRound) {
-        let _ = round;
-    }
-}
-
-/// The no-op observer behind [`StreamDriver::drive`].
-impl IngestObserver for () {}
-
-/// Drives a finite arrival stream through `rounds` sealed rounds.
-pub trait StreamDriver {
-    /// [`StreamDriver::drive`] with an [`IngestObserver`] watching every
-    /// offer and seal — the journaling entry point.
-    fn drive_observed(
-        &self,
-        arrivals: &[TimedBid],
-        rounds: usize,
-        cfg: &IngestConfig,
-        observer: &mut dyn IngestObserver,
-    ) -> StreamRun;
-
-    /// Runs the stream to completion. `arrivals` must be sorted by
-    /// non-decreasing timestamp (the [`workload::arrivals`] generators
-    /// guarantee this).
-    fn drive(&self, arrivals: &[TimedBid], rounds: usize, cfg: &IngestConfig) -> StreamRun {
-        self.drive_observed(arrivals, rounds, cfg, &mut ())
-    }
-}
-
-/// The deterministic single-threaded virtual-time driver (see module
-/// docs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VirtualTimeDriver;
-
-impl StreamDriver for VirtualTimeDriver {
-    fn drive_observed(
-        &self,
-        arrivals: &[TimedBid],
-        rounds: usize,
-        cfg: &IngestConfig,
-        observer: &mut dyn IngestObserver,
-    ) -> StreamRun {
-        let mut collector = RoundCollector::new(cfg);
-        let mut collected = Vec::with_capacity(rounds);
-        let mut i = 0usize;
-        for round in 0..rounds {
-            let seal = collector.schedule().seal_time(round);
-            while i < arrivals.len() && arrivals[i].at <= seal {
-                observer.on_arrival(i as u64, &arrivals[i]);
-                collector.offer(arrivals[i]);
-                i += 1;
-            }
-            let round = collector.seal_next();
-            observer.on_seal(&round);
-            collected.push(round);
+/// Runs `arrivals` through `rounds` sealed rounds: before each seal,
+/// offer every arrival with `at ≤ seal_time(round)`, in slice order.
+/// `arrivals` must be sorted by non-decreasing timestamp (the
+/// [`workload::arrivals`] generators guarantee this).
+pub fn drive(arrivals: &[TimedBid], rounds: usize, cfg: &IngestConfig) -> StreamRun {
+    let mut collector = RoundCollector::new(cfg);
+    let mut collected = Vec::with_capacity(rounds);
+    let mut i = 0usize;
+    for round in 0..rounds {
+        let seal = collector.schedule().seal_time(round);
+        while i < arrivals.len() && arrivals[i].at <= seal {
+            collector.offer(arrivals[i]);
+            i += 1;
         }
-        let totals =
-            StreamTotals::from_rounds(&collected.iter().map(|c| c.stats).collect::<Vec<_>>());
-        StreamRun {
-            rounds: collected,
-            totals,
-            leftover: arrivals.len() - i,
-        }
+        collected.push(collector.seal_next());
     }
-}
-
-/// A message from a producer thread to the sealing consumer.
-enum Msg {
-    Arrival {
-        producer: usize,
-        seq: u64,
-        tb: TimedBid,
-    },
-    Done {
-        producer: usize,
-    },
-}
-
-/// Producer loop body: feeds `arrivals[p], arrivals[p + producers], …`
-/// into the channel in slice order, then announces completion. A send on
-/// a disconnected channel — the consumer dropped its receiver, e.g. a
-/// serve session that failed mid-stream — is a *stop signal*, not a
-/// panic: the producer returns quietly so one dead session can't cascade
-/// into a panic storm across its producer threads.
-fn produce(
-    p: usize,
-    producers: usize,
-    arrivals: &[TimedBid],
-    tx: &mpsc::SyncSender<Msg>,
-    lossless: bool,
-    channel_shed: &AtomicU64,
-) {
-    for i in (p..arrivals.len()).step_by(producers) {
-        let msg = Msg::Arrival {
-            producer: p,
-            seq: i as u64,
-            tb: arrivals[i],
-        };
-        if lossless {
-            if tx.send(msg).is_err() {
-                return;
-            }
-        } else {
-            match tx.try_send(msg) {
-                Ok(()) => {}
-                Err(mpsc::TrySendError::Full(_)) => {
-                    channel_shed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => return,
-            }
-        }
-    }
-    let _ = tx.send(Msg::Done { producer: p });
-}
-
-/// The real-thread driver (see module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedDriver {
-    producers: usize,
-}
-
-impl ThreadedDriver {
-    /// Sizes the producer side from a worker pool (at least one
-    /// producer).
-    pub fn new(pool: &par::Pool) -> Self {
-        ThreadedDriver {
-            producers: pool.threads().max(1),
-        }
-    }
-
-    /// Number of producer threads this driver spawns.
-    pub fn producers(&self) -> usize {
-        self.producers
-    }
-}
-
-impl StreamDriver for ThreadedDriver {
-    fn drive_observed(
-        &self,
-        arrivals: &[TimedBid],
-        rounds: usize,
-        cfg: &IngestConfig,
-        observer: &mut dyn IngestObserver,
-    ) -> StreamRun {
-        use crate::buffer::Backpressure;
-
-        let producers = self.producers.min(arrivals.len()).max(1);
-        let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.capacity.max(1));
-        let channel_shed = AtomicU64::new(0);
-        let lossless = matches!(cfg.backpressure, Backpressure::Block);
-
-        // The channel is the physical buffer, so the collector's own
-        // admission control steps aside.
-        let mut collector = RoundCollector::with_capacity(cfg, usize::MAX);
-        let mut collected = Vec::with_capacity(rounds);
-        let mut offered = 0usize;
-        let mut discarded_after_final_seal = 0usize;
-
-        std::thread::scope(|scope| {
-            for p in 0..producers {
-                let tx = tx.clone();
-                let channel_shed = &channel_shed;
-                // Round-robin slice: index i goes to producer i mod P,
-                // preserving each producer's time order.
-                scope.spawn(move || produce(p, producers, arrivals, &tx, lossless, channel_shed));
-            }
-            drop(tx);
-
-            // Consumer (this thread): a producer's sub-stream is
-            // time-ordered, so once every frontier has passed a seal
-            // instant, no arrival at or before it can still show up.
-            let mut frontier = vec![0.0f64; producers];
-            let mut live = producers;
-            for round in 0..rounds {
-                let seal = collector.schedule().seal_time(round);
-                while live > 0 && frontier.iter().cloned().fold(f64::INFINITY, f64::min) <= seal {
-                    match rx.recv().expect("live producers hold senders") {
-                        Msg::Arrival { producer, seq, tb } => {
-                            frontier[producer] = tb.at;
-                            observer.on_arrival(seq, &tb);
-                            collector.offer_at(seq, tb);
-                            offered += 1;
-                        }
-                        Msg::Done { producer } => {
-                            frontier[producer] = f64::INFINITY;
-                            live -= 1;
-                        }
-                    }
-                }
-                let round = collector.seal_next();
-                observer.on_seal(&round);
-                collected.push(round);
-            }
-            // Horizon reached: let the remaining producers finish.
-            for msg in rx.iter() {
-                if let Msg::Arrival { .. } = msg {
-                    discarded_after_final_seal += 1;
-                }
-            }
-        });
-
-        let mut totals =
-            StreamTotals::from_rounds(&collected.iter().map(|c| c.stats).collect::<Vec<_>>());
-        let shed_in_channel = channel_shed.load(Ordering::Relaxed) as usize;
-        totals.shed += shed_in_channel;
-        debug_assert_eq!(
-            offered + shed_in_channel + discarded_after_final_seal,
-            arrivals.len(),
-            "every arrival is offered, channel-shed, or past the final seal"
-        );
-        StreamRun {
-            rounds: collected,
-            totals,
-            leftover: discarded_after_final_seal,
-        }
+    let totals = StreamTotals::from_rounds(&collected.iter().map(|c| c.stats).collect::<Vec<_>>());
+    StreamRun {
+        rounds: collected,
+        totals,
+        leftover: arrivals.len() - i,
     }
 }
 
@@ -301,7 +71,7 @@ mod tests {
     #[test]
     fn virtual_driver_seals_every_round() {
         let arrivals = stream(500, 25.0, 3);
-        let run = VirtualTimeDriver.drive(&arrivals, 12, &cfg());
+        let run = drive(&arrivals, 12, &cfg());
         assert_eq!(run.rounds.len(), 12);
         assert_eq!(run.totals.rounds, 12);
         let sealed: usize = run.rounds.iter().map(|r| r.stats.sealed).sum();
@@ -319,138 +89,10 @@ mod tests {
     }
 
     #[test]
-    fn threaded_block_matches_virtual_bit_for_bit() {
-        let arrivals = stream(2000, 40.0, 9);
-        let rounds = 30;
-        let reference = VirtualTimeDriver.drive(&arrivals, rounds, &cfg());
-        for workers in [1usize, 4] {
-            let pool = par::Pool::with_threads(workers);
-            let run = ThreadedDriver::new(&pool).drive(&arrivals, rounds, &cfg());
-            assert_eq!(
-                run.rounds.len(),
-                reference.rounds.len(),
-                "workers={workers}"
-            );
-            for (a, b) in run.rounds.iter().zip(&reference.rounds) {
-                assert_eq!(a.sealed, b.sealed, "workers={workers}");
-                // Buffer telemetry differs by construction (channel vs
-                // modeled buffer); the admission outcome may not.
-                assert_eq!(a.stats.admitted, b.stats.admitted, "workers={workers}");
-                assert_eq!(a.stats.admitted_late, b.stats.admitted_late);
-                assert_eq!(a.stats.deferred_in, b.stats.deferred_in);
-                assert_eq!(a.stats.dropped, b.stats.dropped);
-                assert_eq!(a.stats.superseded, b.stats.superseded);
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_done_before_horizon_still_seals_all_rounds() {
-        // A short stream: producers finish long before the horizon; the
-        // consumer must keep sealing empty rounds.
-        let arrivals = stream(20, 10.0, 1);
-        let pool = par::Pool::with_threads(2);
-        let run = ThreadedDriver::new(&pool).drive(&arrivals, 50, &cfg());
-        assert_eq!(run.rounds.len(), 50);
-        assert_eq!(run.leftover, 0);
-        let sealed: usize = run.rounds.iter().map(|r| r.stats.sealed).sum();
-        assert!(sealed <= 20);
-    }
-
-    /// Records every observer callback for comparison across drivers.
-    #[derive(Default, PartialEq, Debug)]
-    struct Recorder {
-        arrivals: Vec<(u64, TimedBid)>,
-        seals: Vec<CollectedRound>,
-    }
-
-    impl IngestObserver for Recorder {
-        fn on_arrival(&mut self, seq: u64, tb: &TimedBid) {
-            self.arrivals.push((seq, *tb));
-        }
-        fn on_seal(&mut self, round: &CollectedRound) {
-            self.seals.push(round.clone());
-        }
-    }
-
-    #[test]
-    fn observer_sees_every_offer_and_seal() {
-        let arrivals = stream(400, 20.0, 7);
-        let rounds = 15;
-        let mut rec = Recorder::default();
-        let run = VirtualTimeDriver.drive_observed(&arrivals, rounds, &cfg(), &mut rec);
-        assert_eq!(rec.seals, run.rounds);
-        assert_eq!(rec.arrivals.len() + run.leftover, arrivals.len());
-        // The virtual driver offers in stream order under stream seqs.
-        for (i, (seq, tb)) in rec.arrivals.iter().enumerate() {
-            assert_eq!(*seq, i as u64);
-            assert_eq!(*tb, arrivals[i]);
-        }
-        // Replaying the journaled arrivals through a fresh collector
-        // reproduces the sealed rounds bit-for-bit — the event-sourcing
-        // contract the serve journal depends on.
-        let mut replay = RoundCollector::with_capacity(&cfg(), usize::MAX);
-        let mut i = 0usize;
-        for (round, original) in rec.seals.iter().enumerate() {
-            let seal = replay.schedule().seal_time(round);
-            while i < rec.arrivals.len() && rec.arrivals[i].1.at <= seal {
-                let (seq, tb) = rec.arrivals[i];
-                replay.offer_at(seq, tb);
-                i += 1;
-            }
-            let replayed = replay.seal_next();
-            assert_eq!(replayed.sealed, original.sealed, "round {round}");
-        }
-    }
-
-    #[test]
-    fn threaded_observer_matches_virtual_sealed_output() {
-        let arrivals = stream(600, 25.0, 13);
-        let rounds = 18;
-        let mut virt = Recorder::default();
-        VirtualTimeDriver.drive_observed(&arrivals, rounds, &cfg(), &mut virt);
-        let pool = par::Pool::with_threads(4);
-        let mut thr = Recorder::default();
-        ThreadedDriver::new(&pool).drive_observed(&arrivals, rounds, &cfg(), &mut thr);
-        // Arrival callback *order* is scheduling-dependent under real
-        // threads; the sealed output is not.
-        let sealed_v: Vec<_> = virt.seals.iter().map(|r| r.sealed.clone()).collect();
-        let sealed_t: Vec<_> = thr.seals.iter().map(|r| r.sealed.clone()).collect();
-        assert_eq!(sealed_v, sealed_t);
-    }
-
-    #[test]
-    fn producers_stop_gracefully_when_consumer_drops() {
-        // The consumer dies mid-run (receiver dropped with producers
-        // still blocked on a tiny channel): every producer must treat the
-        // failed send as a stop signal and return — a panic would abort
-        // the whole scope.
-        let arrivals = stream(5000, 40.0, 11);
-        for lossless in [true, false] {
-            let (tx, rx) = mpsc::sync_channel::<Msg>(8);
-            let shed = AtomicU64::new(0);
-            std::thread::scope(|scope| {
-                for p in 0..3usize {
-                    let tx = tx.clone();
-                    let (shed, arrivals) = (&shed, &arrivals);
-                    scope.spawn(move || produce(p, 3, arrivals, &tx, lossless, shed));
-                }
-                drop(tx);
-                // Take a few messages, then walk away. Scope exit joins
-                // the producers; any panic would propagate here.
-                for _ in 0..10 {
-                    let _ = rx.recv();
-                }
-                drop(rx);
-            });
-        }
-    }
-
-    #[test]
     fn virtual_driver_is_a_pure_function() {
         let arrivals = stream(800, 30.0, 5);
-        let a = VirtualTimeDriver.drive(&arrivals, 20, &cfg());
-        let b = VirtualTimeDriver.drive(&arrivals, 20, &cfg());
+        let a = drive(&arrivals, 20, &cfg());
+        let b = drive(&arrivals, 20, &cfg());
         assert_eq!(a, b);
     }
 }

@@ -7,8 +7,8 @@
 //! are floats), sequence number as the tie-breaker. Because the sequence
 //! number is assigned from the stream position — not from thread scheduling
 //! — two arrivals at the same instant always drain in the same order, which
-//! is what makes sealed rounds bit-identical across drivers and worker
-//! counts.
+//! is what makes sealed rounds bit-identical across runs, replays and
+//! worker counts.
 
 use auction::bid::Bid;
 use std::cmp::Ordering;

@@ -15,10 +15,9 @@
 //! * [`collector`] — the round collector: per-round deadlines,
 //!   [`collector::LateBidPolicy`], sealing into canonical
 //!   [`auction::sealed::SealedRound`]s with per-round [`stats::IngestStats`],
-//! * [`driver`] — how arrivals reach the collector: the deterministic
-//!   [`driver::VirtualTimeDriver`] (the tested default) and the
-//!   [`driver::ThreadedDriver`] (real `std::sync::mpsc` producers sized by
-//!   a [`par::Pool`], bit-identical to virtual in lossless mode),
+//! * [`driver`] — [`drive`], the one offer-until-seal loop: a finite
+//!   arrival slice through `rounds` sealed rounds in virtual time,
+//!   deterministically,
 //! * [`stats`] — per-round and whole-stream ingestion telemetry.
 //!
 //! Arrival streams come from [`workload::arrivals`] (Poisson / bursty /
@@ -29,7 +28,6 @@
 //! # Example: seal a Poisson stream into rounds
 //!
 //! ```
-//! use ingest::driver::{StreamDriver, VirtualTimeDriver};
 //! use ingest::{IngestConfig, LateBidPolicy};
 //! use workload::arrivals::{ArrivalKind, ArrivalProcess, TimedBid};
 //!
@@ -42,7 +40,7 @@
 //!     late_policy: LateBidPolicy::DeferToNext,
 //!     ..IngestConfig::default()
 //! };
-//! let run = VirtualTimeDriver.drive(&arrivals, 8, &cfg);
+//! let run = ingest::drive(&arrivals, 8, &cfg);
 //! assert_eq!(run.rounds.len(), 8);
 //! // Sealed rounds arrive in canonical ascending-bidder order.
 //! for round in &run.rounds {
@@ -61,7 +59,7 @@ pub mod stats;
 pub use buffer::{Admission, ArrivalBuffer, Backpressure};
 pub use clock::{RoundSchedule, VirtualClock};
 pub use collector::{AdmitClass, CollectedRound, CollectorState, LateBidPolicy, RoundCollector};
-pub use driver::{IngestObserver, StreamDriver, StreamRun, ThreadedDriver, VirtualTimeDriver};
+pub use driver::{drive, StreamRun};
 pub use stats::{IngestStats, StreamTotals};
 
 /// Name of the environment variable setting the per-round deadline
@@ -92,8 +90,7 @@ pub struct IngestConfig {
     pub late_policy: LateBidPolicy,
     /// Overflow behaviour of the bounded arrival buffer.
     pub backpressure: Backpressure,
-    /// Hard capacity of the arrival buffer (the threaded driver sizes its
-    /// channel with it).
+    /// Hard capacity of the arrival buffer.
     pub capacity: usize,
 }
 

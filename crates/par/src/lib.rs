@@ -131,47 +131,9 @@ impl Pool {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return (0..n).map(f).collect();
-        }
-        // Each worker pulls the next unclaimed index from a shared counter
-        // and keeps (index, result) pairs locally; the caller then scatters
-        // them into their slots. No locks, no result-order dependence on
-        // scheduling.
-        let next = AtomicUsize::new(0);
-        let parts: Vec<Vec<(usize, U)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, f(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-        for part in parts {
-            for (i, v) in part {
-                debug_assert!(slots[i].is_none(), "index {i} computed twice");
-                slots[i] = Some(v);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index in 0..n is claimed exactly once"))
-            .collect()
+        let mut out = Vec::new();
+        self.run_with(n, &mut (), || (), &mut out, |_, i| f(i));
+        out
     }
 
     /// [`Pool::run`] with per-worker scratch state, writing results into a
@@ -257,38 +219,6 @@ impl Pool {
         self.run(items.len(), |i| f(&items[i]))
     }
 
-    /// Maps `f(index, &item)` over `items`, returning results in item order.
-    pub fn map_indexed<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        self.run(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Applies `f` to consecutive chunks of at most `chunk_size` items,
-    /// returning one result per chunk in chunk order. Useful when per-item
-    /// work is too small to amortize task dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`.
-    pub fn chunks<T, U, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&[T]) -> U + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let n_chunks = items.len().div_ceil(chunk_size);
-        self.run(n_chunks, |c| {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(items.len());
-            f(&items[lo..hi])
-        })
-    }
-
     /// Splits this pool's workers between an outer fan-out of `tasks` and
     /// the nested work each task performs, returning `(outer, inner)` with
     /// `outer.threads() · inner.threads() ≤ self.threads()`. This is what
@@ -300,43 +230,6 @@ impl Pool {
         let inner = (self.threads / outer).max(1);
         (Pool::with_threads(outer), Pool::with_threads(inner))
     }
-
-    /// Maps `f(&item, inner_pool)` over `items`, fanning the items across
-    /// this pool's workers while handing each task an inner pool sized so
-    /// the two levels together never exceed this pool's worker budget.
-    /// Results come back in item order; by the determinism contract the
-    /// inner pool's size cannot change any output bits.
-    pub fn map_nested<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T, Pool) -> U + Sync,
-    {
-        let (outer, inner) = self.split(items.len());
-        outer.run(items.len(), |i| f(&items[i], inner))
-    }
-
-    /// [`Pool::chunks`] with a nested-safe inner pool passed to each chunk
-    /// closure (see [`Pool::map_nested`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`.
-    pub fn chunks_nested<T, U, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&[T], Pool) -> U + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let n_chunks = items.len().div_ceil(chunk_size);
-        let (outer, inner) = self.split(n_chunks);
-        outer.run(n_chunks, |c| {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(items.len());
-            f(&items[lo..hi], inner)
-        })
-    }
 }
 
 /// [`Pool::map`] on the [`Pool::auto`] pool.
@@ -347,38 +240,6 @@ where
     F: Fn(&T) -> U + Sync,
 {
     Pool::auto().map(items, f)
-}
-
-/// [`Pool::map_indexed`] on the [`Pool::auto`] pool.
-pub fn par_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    Pool::auto().map_indexed(items, f)
-}
-
-/// [`Pool::chunks`] on the [`Pool::auto`] pool.
-pub fn par_chunks<T, U, F>(items: &[T], chunk_size: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&[T]) -> U + Sync,
-{
-    Pool::auto().chunks(items, chunk_size, f)
-}
-
-/// [`Pool::chunks_nested`] on the [`Pool::auto`] pool: each chunk closure
-/// receives an inner pool sized so outer × inner stays within the
-/// configured worker budget.
-pub fn par_chunks_nested<T, U, F>(items: &[T], chunk_size: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&[T], Pool) -> U + Sync,
-{
-    Pool::auto().chunks_nested(items, chunk_size, f)
 }
 
 #[cfg(test)]
@@ -393,13 +254,6 @@ mod tests {
             let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
             assert_eq!(out, expect, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn map_indexed_sees_correct_indices() {
-        let items = vec!["a", "b", "c", "d", "e"];
-        let out = Pool::with_threads(3).map_indexed(&items, |i, s| format!("{i}:{s}"));
-        assert_eq!(out, vec!["0:a", "1:b", "2:c", "3:d", "4:e"]);
     }
 
     #[test]
@@ -420,23 +274,6 @@ mod tests {
             serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             parallel.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn chunks_cover_everything_in_order() {
-        let items: Vec<usize> = (0..103).collect();
-        let sums = Pool::with_threads(4).chunks(&items, 10, |c| c.iter().sum::<usize>());
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-        // First chunk is exactly 0..10 regardless of scheduling.
-        assert_eq!(sums[0], (0..10).sum::<usize>());
-        assert_eq!(sums[10], (100..103).sum::<usize>());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn chunks_rejects_zero_size() {
-        let _ = Pool::serial().chunks(&[1, 2, 3], 0, |c| c.len());
     }
 
     #[test]
@@ -615,15 +452,35 @@ mod tests {
 
     #[test]
     fn map_nested_matches_flat_map() {
+        // An outer fan-out whose tasks each fan out again on the inner pool
+        // of a split returns the same result as a flat serial map.
         let items: Vec<u64> = (0..300).collect();
         // Reference: x² + (0 + 1 + 2) computed serially.
         let flat = Pool::serial().map(&items, |&x| x * x + 3);
         for threads in [1, 2, 8] {
-            let nested = Pool::with_threads(threads).map_nested(&items, |&x, inner| {
-                // The inner pool must be usable for a second fan-out level.
+            let (outer, inner) = Pool::with_threads(threads).split(items.len());
+            let nested = outer.map(&items, |&x| {
                 x * x + inner.run(3, |j| j as u64).iter().sum::<u64>()
             });
             assert_eq!(nested, flat, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn chunks_nested_covers_everything_in_order() {
+        // The grouped two-level pattern `auction::shard` uses: the outer
+        // pool runs over groups, each group fans out on the inner pool.
+        let items: Vec<usize> = (0..97).collect();
+        let groups: Vec<&[usize]> = items.chunks(10).collect();
+        for threads in [1, 4, 8] {
+            let (outer, inner) = Pool::with_threads(threads).split(groups.len());
+            let sums: Vec<usize> = outer.run(groups.len(), |g| {
+                inner.map(groups[g], |&x| x).iter().sum()
+            });
+            assert_eq!(sums.len(), 10, "threads={threads}");
+            assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
+            assert_eq!(sums[0], (0..10).sum::<usize>());
+            assert_eq!(sums[9], (90..97).sum::<usize>());
         }
     }
 
@@ -652,41 +509,5 @@ mod tests {
                 inner.threads()
             );
         }
-    }
-
-    #[test]
-    fn map_nested_on_empty_input_returns_empty() {
-        let empty: Vec<u32> = Vec::new();
-        for threads in [1usize, 4] {
-            let out = Pool::with_threads(threads)
-                .map_nested(&empty, |&x, inner| x + inner.threads() as u32);
-            assert!(out.is_empty(), "threads={threads}");
-        }
-        // chunks_nested on empty input likewise produces no chunks.
-        let sums = Pool::with_threads(4).chunks_nested(&empty, 10, |c, _| c.len());
-        assert!(sums.is_empty());
-    }
-
-    #[test]
-    fn map_nested_single_worker_single_item() {
-        // Degenerate corner: 1 worker, 1 item — inner pool must still be
-        // usable and the result identical to a plain call.
-        let out = Pool::with_threads(1).map_nested(&[21u64], |&x, inner| {
-            assert_eq!(inner.threads(), 1);
-            x * 2 + inner.run(0, |_| 0u64).len() as u64
-        });
-        assert_eq!(out, vec![42]);
-    }
-
-    #[test]
-    fn chunks_nested_covers_everything_in_order() {
-        let items: Vec<usize> = (0..97).collect();
-        let sums = Pool::with_threads(4).chunks_nested(&items, 10, |c, inner| {
-            inner.map(c, |&x| x).iter().sum::<usize>()
-        });
-        assert_eq!(sums.len(), 10);
-        assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-        assert_eq!(sums[0], (0..10).sum::<usize>());
-        assert_eq!(sums[9], (90..97).sum::<usize>());
     }
 }

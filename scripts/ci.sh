@@ -53,9 +53,10 @@ cargo clippy --all-targets -- -D warnings
 LOVM_SCALE=0.1 ./target/release/exp_e14_sharding > /dev/null
 echo "ci: exp_e14_sharding smoke ok"
 
-# Smoke the streaming-ingestion experiment at both worker counts: the
-# virtual-time driver is deterministic, so both passes must produce the
-# byte-identical table set (the golden suite already pins its content).
+# Smoke the streaming-ingestion experiment at both worker counts:
+# `ingest::drive` runs in virtual time and is deterministic, so both passes
+# must produce the byte-identical table set (the golden suite already pins
+# its content).
 e15_ref=""
 for t in 1 4; do
   out=$(LOVM_SCALE=0.1 LOVM_THREADS=$t ./target/release/exp_e15_streaming)
@@ -421,5 +422,12 @@ if ! printf '%s\n' "$top_out" | grep -q "rounds.sealed"; then
   exit 1
 fi
 echo "ci: telemetry serve smoke ok (pure observer, $records valid records, live top frame)"
+
+# The repository benchmark's own quick test: it builds `lovm` and the
+# `perfbench` package against the workspace crates and runs both
+# workloads at `--quick` scale, so a public API the benchmark uses fails
+# here rather than first inside a benchmark run.
+python3 perfbench/test_run.py
+echo "ci: perfbench quick test ok"
 
 echo "ci: all green"

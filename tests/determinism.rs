@@ -186,8 +186,8 @@ fn assert_streams_bit_identical(
     assert_eq!(a.result.ledger, b.result.ledger, "{context}: ledger");
 }
 
-/// The streaming entry point on the virtual-time driver: a seeded arrival
-/// stream through `run_stream_on` is bit-identical on a serial pool and a
+/// The streaming entry point in virtual time: a seeded arrival stream
+/// through `run_stream_on` is bit-identical on a serial pool and a
 /// 4-worker pool — payments, welfares, queue trajectory, and the
 /// per-round ingestion stats.
 #[test]
