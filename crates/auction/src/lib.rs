@@ -6,7 +6,7 @@
 //! * [`bid`] — bidder types (private cost, verifiable data size/quality),
 //! * [`valuation`] — how the platform values a selected client,
 //! * [`wdp`] — winner-determination solvers (exact top-K, knapsack DP,
-//!   exhaustive, greedy density),
+//!   exhaustive),
 //! * [`vcg`] — Clarke-pivot payments over a scored winner-determination
 //!   instance (the per-round auction used by LOVM),
 //! * [`pivots`] — the incremental leave-one-out welfare engine behind VCG

@@ -292,8 +292,6 @@ pub enum SolverKind {
         /// Number of grid cells the budget is discretized into.
         grid: usize,
     },
-    /// Greedy by weight (cardinality) / weight-per-cost density (budget).
-    GreedyDensity,
 }
 
 /// Solves a winner-determination instance ([`solve_view`] on the full
@@ -317,7 +315,6 @@ fn solver_kind_hist(kind: SolverKind) -> &'static telemetry::Histogram {
         SolverKind::Exact => telemetry::hist!("solve.wdp.exact_ns"),
         SolverKind::Exhaustive => telemetry::hist!("solve.wdp.exhaustive_ns"),
         SolverKind::Knapsack { .. } => telemetry::hist!("solve.wdp.knapsack_ns"),
-        SolverKind::GreedyDensity => telemetry::hist!("solve.wdp.greedy_ns"),
     }
 }
 
@@ -791,8 +788,8 @@ impl SolverArena {
     ///
     /// The hot dispatches (top-K and knapsack — everything a LOVM round
     /// can hit) run entirely on arena buffers: zero heap allocations once
-    /// `self` and `out` have warmed up. `Exhaustive` and `GreedyDensity`
-    /// are cold experiment/baseline paths and allocate.
+    /// `self` and `out` have warmed up. `Exhaustive` is a cold
+    /// experiment/oracle path and allocates.
     ///
     /// # Panics
     ///
@@ -814,7 +811,6 @@ impl SolverArena {
                 Some(_) => self.knapsack_into(view, grid, out),
                 None => self.top_k_into(view, out),
             },
-            SolverKind::GreedyDensity => copy_solution(greedy_density(view), out),
         }
     }
 
@@ -991,44 +987,6 @@ fn copy_solution(sol: WdpSolution, out: &mut WdpSolution) {
     out.objective = sol.objective;
 }
 
-/// Greedy approximation: by weight when only cardinality binds, by
-/// weight/cost density under a budget.
-fn greedy_density(view: &WdpView<'_>) -> WdpSolution {
-    let mut order: Vec<usize> = view
-        .indices()
-        .filter(|&i| view.item(i).weight > 0.0)
-        .collect();
-    match view.budget() {
-        None => order.sort_by(|&a, &b| {
-            view.item(b)
-                .weight
-                .partial_cmp(&view.item(a).weight)
-                .expect("weights are finite")
-        }),
-        Some(_) => order.sort_by(|&a, &b| {
-            let da = view.item(a).weight / view.item(a).cost.max(1e-12);
-            let db = view.item(b).weight / view.item(b).cost.max(1e-12);
-            db.partial_cmp(&da).expect("densities are finite")
-        }),
-    }
-    let k = view.max_winners().unwrap_or(view.len());
-    let mut selected = Vec::new();
-    let mut spent = 0.0;
-    for i in order {
-        if selected.len() >= k {
-            break;
-        }
-        if let Some(b) = view.budget() {
-            if spent + view.item(i).cost > b + 1e-12 {
-                continue;
-            }
-        }
-        spent += view.item(i).cost;
-        selected.push(i);
-    }
-    WdpSolution::from_view(view, selected)
-}
-
 /// Fractional (LP-relaxation) upper bound on the optimum of a
 /// budget-constrained instance; equals the exact optimum when no budget is
 /// present. Used as the denominator in competitive-ratio plots.
@@ -1170,19 +1128,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_density_feasible_and_reasonable() {
-        let inst = WdpInstance::new(vec![
-            item(0, 10.0, 10.0), // density 1.0
-            item(1, 6.0, 3.0),   // density 2.0
-            item(2, 5.0, 3.0),   // density 1.67
-        ])
-        .with_budget(6.0);
-        let sol = solve(&inst, SolverKind::GreedyDensity);
-        assert_eq!(sol.selected, vec![1, 2]);
-        assert!(inst.feasible(&sol.selected));
-    }
-
-    #[test]
     fn fractional_bound_dominates_exact() {
         let inst = WdpInstance::new(vec![
             item(0, 6.0, 5.0),
@@ -1314,11 +1259,7 @@ mod tests {
     #[test]
     fn empty_instance_empty_solution() {
         let inst = WdpInstance::new(vec![]);
-        for kind in [
-            SolverKind::Exact,
-            SolverKind::Exhaustive,
-            SolverKind::GreedyDensity,
-        ] {
+        for kind in [SolverKind::Exact, SolverKind::Exhaustive] {
             let sol = solve(&inst, kind);
             assert!(sol.selected.is_empty());
             assert_eq!(sol.objective, 0.0);
@@ -1461,10 +1402,10 @@ mod tests {
         }
     }
 
-    /// Property: greedy is always feasible and never exceeds the exact
-    /// optimum (seeded random instances).
+    /// Property: the fractional (LP-relaxation) bound never falls below
+    /// the brute-force optimum (seeded random budgeted instances).
     #[test]
-    fn greedy_feasible_and_bounded() {
+    fn fractional_bound_dominates_brute_force() {
         let mut rng = StdRng::seed_from_u64(0x62EE);
         for _ in 0..150 {
             let n = rng.random_range(1..12usize);
@@ -1473,10 +1414,7 @@ mod tests {
                 .collect();
             let budget = rng.random_range(1.0..20.0f64);
             let inst = WdpInstance::new(items).with_budget(budget);
-            let greedy = solve(&inst, SolverKind::GreedyDensity);
             let brute = solve(&inst, SolverKind::Exhaustive);
-            assert!(inst.feasible(&greedy.selected));
-            assert!(greedy.objective <= brute.objective + 1e-9);
             let bound = fractional_upper_bound(&inst);
             assert!(bound >= brute.objective - 1e-9);
         }

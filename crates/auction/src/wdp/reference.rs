@@ -18,8 +18,8 @@
 //! leave-one-out welfare is a payment change.
 
 use super::{
-    exhaustive, greedy_density, knapsack_cell, knapsack_gcost, knapsack_width_2d, repair_overspend,
-    RepairRank, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView, DP_EPS,
+    exhaustive, knapsack_cell, knapsack_gcost, knapsack_width_2d, repair_overspend, RepairRank,
+    SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView, DP_EPS,
 };
 use simrng::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -36,7 +36,6 @@ pub(crate) fn solve_view(view: &WdpView<'_>, kind: SolverKind) -> WdpSolution {
             Some(_) => knapsack(view, grid),
             None => top_k(view),
         },
-        SolverKind::GreedyDensity => greedy_density(view),
     }
 }
 

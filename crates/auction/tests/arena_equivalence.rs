@@ -70,10 +70,9 @@ fn arena_shrinking_instances_do_not_leak_state() {
     }
 }
 
-/// The cold kinds (Exhaustive, GreedyDensity) solve outside the arena's
-/// lanes and copy into the recycled output slot; after a knapsack solve
-/// has dirtied both the arena and that slot, they must still match a
-/// fresh solve.
+/// The cold kind (Exhaustive) solves outside the arena's lanes and copies
+/// into the recycled output slot; after a knapsack solve has dirtied both
+/// the arena and that slot, it must still match a fresh solve.
 #[test]
 fn arena_delegated_kinds_match() {
     let mut rng = StdRng::seed_from_u64(0xA2E4_A0004);
@@ -84,11 +83,9 @@ fn arena_delegated_kinds_match() {
         let items = random_items(&mut rng, n);
         let inst = build(items, Some(n), Some(6.0));
         let view = WdpView::full(&inst);
-        for kind in [SolverKind::Exhaustive, SolverKind::GreedyDensity] {
-            arena.solve_view_into(&view, SolverKind::Knapsack { grid: 300 }, &mut out);
-            arena.solve_view_into(&view, kind, &mut out);
-            let fresh = solve_view(&view, kind);
-            assert_bit_identical(&fresh, &out, &format!("n={n} kind={kind:?}"));
-        }
+        arena.solve_view_into(&view, SolverKind::Knapsack { grid: 300 }, &mut out);
+        arena.solve_view_into(&view, SolverKind::Exhaustive, &mut out);
+        let fresh = solve_view(&view, SolverKind::Exhaustive);
+        assert_bit_identical(&fresh, &out, &format!("n={n}"));
     }
 }

@@ -5,26 +5,27 @@
 //! `budgeted-clear` benchmark's shape — n=4096, grid 4000, budget 5% of
 //! the total cost, no cap).
 //!
-//! Every row reports ns/solve (median), DP cells touched per ns, and heap
-//! bytes allocated per solve (counted by a wrapping `#[global_allocator]`,
-//! measured outside the timed region). The pivot row reports ns and bytes
-//! per pass and no cell count.
+//! Every row is a `lovm.bench.v1` row (`bench::harness::BenchResult`)
+//! with the extras `n`, `grid`, `combo`, `cells` (DP cells one solve
+//! touches; 0 on top-K and pivot rows) and `bytes_per_solve` (heap bytes
+//! per solve or pass, counted by a wrapping `#[global_allocator]` outside
+//! the timed region).
 //!
 //! Output contract:
-//! * stdout — one JSON line per benchmark (the `Bencher` contract; the CI
-//!   gate reads `solver/budgetcap_n4096_g4000_arena` median_ns from this
-//!   build and from the committed baseline's build, run alternately),
-//! * stderr — the human roofline table,
-//! * `BENCH_solver.json` in the working directory — the machine-readable
-//!   roofline (validated by re-parsing with `metrics::json` before the
-//!   process exits 0).
+//! * stdout — one JSON line per row (the CI gate reads
+//!   `solver/budgetcap_n4096_g4000_arena` median_ns with `bench_rows
+//!   --get`, from this build and from the committed baseline's build, run
+//!   alternately),
+//! * stderr — the human roofline table (ns/solve, cells/ns, bytes/solve),
+//! * `BENCH_solver.json` in the working directory — exactly the rows
+//!   printed, as a `lovm.bench.v1` artifact (`bench_rows --check`
+//!   validates it).
 
 use auction::pivots::{leave_one_out_welfares_view_into, PaymentStrategy};
 use auction::valuation::Valuation;
 use auction::vcg::{VcgAuction, VcgConfig};
 use auction::wdp::{SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView};
-use bench::harness::Bencher;
-use metrics::json::JsonValue;
+use bench::harness::{artifact, BenchResult, Bencher};
 use simrng::rngs::StdRng;
 use simrng::{RngExt, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -100,70 +101,45 @@ fn bytes_per_solve(mut solve: impl FnMut(), reps: u64) -> u64 {
     (ALLOC_BYTES.load(Ordering::Relaxed) - before) / reps
 }
 
-struct Row {
-    name: String,
-    n: usize,
-    grid: usize,
-    combo: &'static str,
-    median_ns: f64,
-    cells: u64,
-    bytes: u64,
+/// A row's shape: `n`, `grid` (0 on top-K rows), `combo`, and the DP
+/// `cells` one solve touches (0 where no DP runs).
+type Shape = (usize, usize, &'static str, u64);
+
+/// The row with its shape and heap bytes per solve attached as extras.
+fn roofline(row: BenchResult, (n, grid, combo, cells): Shape, bytes: u64) -> BenchResult {
+    row.with("n", n)
+        .with("grid", grid)
+        .with("combo", combo)
+        .with("cells", cells)
+        .with("bytes_per_solve", bytes)
 }
 
-/// One warm-arena row: heap bytes per solve, then the timed median.
+/// One warm-arena row (`{combo}_n{n}[_g{grid}]_arena`): heap bytes per
+/// solve, then the timed solve.
 fn bench_row(
     bencher: &mut Bencher,
     arena: &mut SolverArena,
-    out: &mut WdpSolution,
-    name: &str,
     view: &WdpView<'_>,
     kind: SolverKind,
-    reps: u64,
-) -> (f64, u64) {
-    let bytes = bytes_per_solve(|| arena.solve_view_into(view, kind, out), reps);
-    let median_ns = bencher
-        .bench(name, || {
-            arena.solve_view_into(black_box(view), kind, out);
-            out.objective
-        })
-        .median_ns;
-    (median_ns, bytes)
-}
-
-/// `bench_solver --check <path>`: parse a previously written roofline with
-/// `metrics::json` and validate its shape, without running any benchmark.
-/// The CI gate uses this to prove the committed artifact is valid JSON.
-fn check_artifact(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let doc = JsonValue::parse(&text).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"));
-    assert_eq!(
-        doc.get("schema").and_then(JsonValue::as_str),
-        Some("lovm.bench_solver.v1"),
-        "{path}: wrong or missing schema tag"
-    );
-    let rows = doc
-        .get("rows")
-        .and_then(JsonValue::as_array)
-        .unwrap_or_else(|| panic!("{path}: missing rows array"));
-    assert!(!rows.is_empty(), "{path}: empty rows array");
-    for row in rows {
-        for key in ["bench", "impl", "median_ns", "bytes_per_solve"] {
-            assert!(row.get(key).is_some(), "{path}: row missing {key:?}");
-        }
-    }
-    eprintln!("# {path}: valid ({} rows)", rows.len());
+    shape: Shape,
+) {
+    let (n, grid, combo, _) = shape;
+    let name = match grid {
+        0 => format!("{combo}_n{n}_arena"),
+        _ => format!("{combo}_n{n}_g{grid}_arena"),
+    };
+    let mut out = WdpSolution::default();
+    let bytes = bytes_per_solve(|| arena.solve_view_into(view, kind, &mut out), 4);
+    let row = bencher.measure(&name, || {
+        arena.solve_view_into(black_box(view), kind, &mut out);
+        out.objective
+    });
+    bencher.report(roofline(row, shape, bytes));
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.len() == 3 && args[1] == "--check" {
-        check_artifact(&args[2]);
-        return;
-    }
     let mut bencher = Bencher::new("solver");
-    let mut rows: Vec<Row> = Vec::new();
     let mut arena = SolverArena::new();
-    let mut out = WdpSolution::default();
 
     // Budgeted knapsack combos: budget alone, budget + cardinality cap.
     // The cap of 8 keeps rows·width·m under the 2-D coarsening threshold at
@@ -180,18 +156,13 @@ fn main() {
                 }
                 let cells = dp_cells(&inst, grid, cap);
                 let view = WdpView::full(&inst);
-                let name = format!("{combo}_n{n}_g{grid}_arena");
-                let (median_ns, bytes) =
-                    bench_row(&mut bencher, &mut arena, &mut out, &name, &view, kind, 4);
-                rows.push(Row {
-                    name: format!("solver/{name}"),
-                    n,
-                    grid,
-                    combo,
-                    median_ns,
-                    cells,
-                    bytes,
-                });
+                bench_row(
+                    &mut bencher,
+                    &mut arena,
+                    &view,
+                    kind,
+                    (n, grid, combo, cells),
+                );
             }
         }
     }
@@ -201,25 +172,13 @@ fn main() {
         let base = items(n, 0x50F7_1000 + n as u64);
         let inst = WdpInstance::new(base).with_max_winners(64);
         let view = WdpView::full(&inst);
-        let name = format!("topk_n{n}_arena");
-        let (median_ns, bytes) = bench_row(
+        bench_row(
             &mut bencher,
             &mut arena,
-            &mut out,
-            &name,
             &view,
             SolverKind::Exact,
-            8,
+            (n, 0, "topk", 0),
         );
-        rows.push(Row {
-            name: format!("solver/{name}"),
-            n,
-            grid: 0,
-            combo: "topk",
-            median_ns,
-            cells: 0,
-            bytes,
-        });
     }
 
     // Leave-one-out pivots of every winner, at the budgeted-clear shape.
@@ -255,22 +214,18 @@ fn main() {
             );
         };
         let bytes = bytes_per_solve(|| pass(&mut arena, &mut welfares), 2);
-        let median_ns = pivots
-            .bench("budget_n4096_g4000", || {
-                pass(&mut arena, &mut welfares);
-                welfares.len()
-            })
-            .median_ns;
-        rows.push(Row {
-            name: "pivots/budget_n4096_g4000".to_string(),
-            n,
-            grid,
-            combo: "budget",
-            median_ns,
-            cells: 0,
-            bytes,
+        let row = pivots.measure("budget_n4096_g4000", || {
+            pass(&mut arena, &mut welfares);
+            welfares.len()
         });
+        pivots.report(roofline(row, (n, grid, "budget", 0), bytes));
     }
+    let rows: Vec<BenchResult> = bencher
+        .results()
+        .iter()
+        .chain(pivots.results())
+        .cloned()
+        .collect();
 
     // Human roofline table (stderr, like the bench rows themselves).
     eprintln!();
@@ -279,53 +234,24 @@ fn main() {
         "row", "ns/solve", "cells/ns", "bytes/solve"
     );
     for row in &rows {
-        let cells_per_ns = if row.cells > 0 {
-            format!("{:.2}", row.cells as f64 / row.median_ns)
+        let json = row.to_json();
+        let extra = |key| json.get(key).and_then(|v| v.as_u64()).expect("extra");
+        let cells = extra("cells");
+        let cells_per_ns = if cells > 0 {
+            format!("{:.2}", cells as f64 / row.median_ns)
         } else {
             "-".to_string()
         };
         eprintln!(
             "{:<38} {:>12.0} {:>10} {:>12}",
-            row.name, row.median_ns, cells_per_ns, row.bytes
+            row.name,
+            row.median_ns,
+            cells_per_ns,
+            extra("bytes_per_solve")
         );
     }
 
-    // Machine-readable roofline, then prove it re-parses before exiting 0.
-    let mut table = JsonValue::array();
-    for row in &rows {
-        table = table.item(
-            JsonValue::object()
-                .field("bench", row.name.as_str())
-                .field("n", row.n)
-                .field("grid", row.grid)
-                .field("combo", row.combo)
-                // One kernel now; the `_arena` names and this field keep the
-                // `lovm.bench_solver.v1` rows comparable with older artifacts.
-                .field("impl", "arena")
-                .field("median_ns", row.median_ns)
-                .field("cells", row.cells)
-                .field(
-                    "cells_per_ns",
-                    if row.cells > 0 {
-                        row.cells as f64 / row.median_ns
-                    } else {
-                        0.0
-                    },
-                )
-                .field("bytes_per_solve", row.bytes),
-        );
-    }
-    let doc = JsonValue::object()
-        .field("schema", "lovm.bench_solver.v1")
-        .field("rows", table);
-    let text = doc.to_string();
-    let parsed = JsonValue::parse(&text).expect("BENCH_solver.json must be valid JSON");
-    let row_count = parsed
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .map(<[JsonValue]>::len)
-        .expect("rows array survives the roundtrip");
-    assert_eq!(row_count, rows.len(), "roundtrip dropped rows");
+    let text = artifact(&rows).to_string();
     std::fs::write("BENCH_solver.json", text + "\n").expect("write BENCH_solver.json");
-    eprintln!("# wrote BENCH_solver.json ({row_count} rows)");
+    eprintln!("# wrote BENCH_solver.json ({} rows)", rows.len());
 }

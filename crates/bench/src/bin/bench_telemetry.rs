@@ -10,44 +10,28 @@
 //! the ratio. Sequential off-then-on phases measured here drifted by
 //! ±25% between phases — an order of magnitude more than the effect.
 //!
-//! CI reads the `telemetry_stream/overhead` JSON row's `median_ratio`
-//! (median over per-pair enabled/disabled ratios) and fails the PR if
-//! observing the round loop costs more than 5% of running it.
+//! The `telemetry_stream/round_loop_on` row carries the extra
+//! `median_ratio` (median over per-pair enabled/disabled ratios); CI
+//! reads it and fails the PR if observing the round loop costs more than
+//! 5% of running it.
 
-use bench::harness::{BenchConfig, BenchResult};
+use bench::harness::{BenchConfig, BenchResult, Bencher};
 use ingest::IngestConfig;
 use lovm_core::lovm::{Lovm, LovmConfig};
 use lovm_core::streaming::run_stream;
-use metrics::json::JsonValue;
 use metrics::stats::percentile_sorted;
 use std::hint::black_box;
 use std::time::Instant;
 use workload::Scenario;
 
-fn round_loop(scenario: &Scenario, cfg: &IngestConfig) -> f64 {
-    let mut mech = Lovm::new(LovmConfig::for_scenario(scenario, 20.0));
-    let run = run_stream(&mut mech, scenario, 42, cfg);
-    run.result.ledger.social_welfare()
-}
-
+/// Wall time of one full streamed run, in ns.
 fn timed_run(enabled: bool, scenario: &Scenario, cfg: &IngestConfig) -> f64 {
     telemetry::force_configure(enabled, telemetry::SinkSpec::None);
     let start = Instant::now();
-    black_box(round_loop(black_box(scenario), cfg));
+    let mut mech = Lovm::new(LovmConfig::for_scenario(scenario, 20.0));
+    let run = run_stream(&mut mech, black_box(scenario), 42, cfg);
+    black_box(run.result.ledger.social_welfare());
     start.elapsed().as_nanos() as f64
-}
-
-fn result_row(name: &str, mut samples_ns: Vec<f64>) -> BenchResult {
-    samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    BenchResult {
-        name: format!("telemetry_stream/{name}"),
-        batch: 1,
-        samples: samples_ns.len(),
-        min_ns: samples_ns[0],
-        mean_ns: samples_ns.iter().sum::<f64>() / samples_ns.len() as f64,
-        median_ns: percentile_sorted(&samples_ns, 50.0),
-        p95_ns: percentile_sorted(&samples_ns, 95.0),
-    }
 }
 
 fn main() {
@@ -60,7 +44,7 @@ fn main() {
     scenario.horizon = 60;
     let cfg = IngestConfig::default();
     let samples = BenchConfig::default().samples;
-    eprintln!("# bench group telemetry_stream (paired, {samples} pairs)");
+    let mut bencher = Bencher::new("telemetry_stream");
 
     // Warm-up: one run per phase pays lazy registration and path warmup.
     timed_run(false, &scenario, &cfg);
@@ -77,29 +61,19 @@ fn main() {
         on.push(n);
     }
 
-    for row in [
-        result_row("round_loop_off", off),
-        result_row("round_loop_on", on),
-    ] {
-        eprintln!(
-            "{:<44} median {:>12.0} ns  min {:>12.0} ns  ({} x 1)",
-            row.name, row.median_ns, row.min_ns, row.samples
-        );
-        println!("{}", row.to_json());
-    }
-
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
     let median_ratio = percentile_sorted(&ratios, 50.0);
-    eprintln!(
-        "telemetry_stream: paired overhead {:+.2}% (median of {} on/off pairs)",
-        (median_ratio - 1.0) * 100.0,
-        ratios.len()
+    bencher.report(BenchResult::from_samples(
+        "telemetry_stream/round_loop_off",
+        1,
+        off,
+    ));
+    bencher.report(
+        BenchResult::from_samples("telemetry_stream/round_loop_on", 1, on)
+            .with("median_ratio", median_ratio),
     );
-    println!(
-        "{}",
-        JsonValue::object()
-            .field("bench", "telemetry_stream/overhead")
-            .field("samples", ratios.len())
-            .field("median_ratio", median_ratio)
+    eprintln!(
+        "telemetry_stream: paired overhead {:+.2}% (median of {samples} on/off pairs)",
+        (median_ratio - 1.0) * 100.0,
     );
 }

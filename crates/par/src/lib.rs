@@ -474,9 +474,8 @@ mod tests {
         let groups: Vec<&[usize]> = items.chunks(10).collect();
         for threads in [1, 4, 8] {
             let (outer, inner) = Pool::with_threads(threads).split(groups.len());
-            let sums: Vec<usize> = outer.run(groups.len(), |g| {
-                inner.map(groups[g], |&x| x).iter().sum()
-            });
+            let sums: Vec<usize> =
+                outer.run(groups.len(), |g| inner.map(groups[g], |&x| x).iter().sum());
             assert_eq!(sums.len(), 10, "threads={threads}");
             assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
             assert_eq!(sums[0], (0..10).sum::<usize>());

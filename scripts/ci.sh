@@ -57,16 +57,12 @@ echo "ci: exp_e14_sharding smoke ok"
 # `ingest::drive` runs in virtual time and is deterministic, so both passes
 # must produce the byte-identical table set (the golden suite already pins
 # its content).
-e15_ref=""
-for t in 1 4; do
-  out=$(LOVM_SCALE=0.1 LOVM_THREADS=$t ./target/release/exp_e15_streaming)
-  if [ "$t" = 1 ]; then
-    e15_ref="$out"
-  elif [ "$out" != "$e15_ref" ]; then
-    echo "ci: FAIL — exp_e15_streaming output differs between LOVM_THREADS=1 and =4"
-    exit 1
-  fi
-done
+e15_one=$(LOVM_SCALE=0.1 LOVM_THREADS=1 ./target/release/exp_e15_streaming)
+e15_four=$(LOVM_SCALE=0.1 LOVM_THREADS=4 ./target/release/exp_e15_streaming)
+if [ "$e15_one" != "$e15_four" ]; then
+  echo "ci: FAIL — exp_e15_streaming output differs between LOVM_THREADS=1 and =4"
+  exit 1
+fi
 echo "ci: exp_e15_streaming smoke ok (thread-invariant)"
 
 # Smoke the strategic-adversary gate across the full shard × thread
@@ -99,26 +95,20 @@ echo "ci: exp_e16_adversary truthfulness gate ok (shard- and thread-invariant)"
 # at least 5x faster than the naive per-winner re-solve for the n=1024
 # budgeted payment path on a single worker. The win is algorithmic
 # (O(n·G) total DP work vs O(n²·G)), so one core is exactly where it must
-# show.
-bench_out=""
-for t in 1 4; do
+# show. Every bench gate reads rows with `bench_rows --get BENCH FIELD`,
+# the one `lovm.bench.v1` reader: it fails, naming the row or key, unless
+# every stdin line is a valid row and exactly one is named BENCH. Both
+# passes are read; the one-worker pass runs last, so its medians are the
+# ones gated.
+for t in 4 1; do
   out=$(LOVM_THREADS=$t LOVM_BENCH_SAMPLES=5 LOVM_BENCH_BATCH_NS=200000 \
     ./target/release/bench_payments)
-  if [ "$t" = 1 ]; then bench_out="$out"; fi
+  naive_ns=$(printf '%s\n' "$out" \
+    | ./target/release/bench_rows --get payment_engine/1024_naive median_ns)
+  incremental_ns=$(printf '%s\n' "$out" \
+    | ./target/release/bench_rows --get payment_engine/1024_incremental median_ns)
 done
-
-median_of() {
-  # `|| true`: a missing row must fall through to the awk diagnostic below,
-  # not kill the script via set -e / pipefail at the assignment.
-  printf '%s\n' "$bench_out" | { grep -F "\"bench\":\"payment_engine/$1\"" || true; } \
-    | sed 's/.*"median_ns":\([0-9.e+-]*\).*/\1/'
-}
-naive_ns=$(median_of "1024_naive")
-incremental_ns=$(median_of "1024_incremental")
 awk -v n="$naive_ns" -v i="$incremental_ns" 'BEGIN {
-  if (n == "" || i == "" || i <= 0) {
-    print "ci: payment_engine rows missing from bench_payments output"; exit 1
-  }
   speedup = n / i
   printf "ci: payment engine n=1024 speedup %.2fx (naive %.0f ns, incremental %.0f ns)\n", speedup, n, i
   if (speedup < 5.0) {
@@ -154,8 +144,7 @@ base_bin="$solver_dir/target/release/bench_solver"
 new_bin="$PWD/target/release/bench_solver"
 gate_row_ns() { # $1 = binary, $2 = output dir; prints the gate row median
   (cd "$2" && LOVM_THREADS=1 LOVM_BENCH_SAMPLES=5 LOVM_BENCH_BATCH_NS=200000 "$1" 2>/dev/null) \
-    | { grep -F '"bench":"solver/budgetcap_n4096_g4000_arena"' || true; } \
-    | sed 's/.*"median_ns":\([0-9.e+-]*\).*/\1/'
+    | ./target/release/bench_rows --get solver/budgetcap_n4096_g4000_arena median_ns
 }
 solver_ratios=""
 for pair in 1 2 3 4 5; do
@@ -166,10 +155,6 @@ for pair in 1 2 3 4 5; do
     n=$(gate_row_ns "$new_bin" "$solver_dir/new")
     b=$(gate_row_ns "$base_bin" "$solver_dir/base")
   fi
-  if [ -z "$b" ] || [ -z "$n" ]; then
-    echo "ci: FAIL — budgetcap_n4096_g4000_arena missing from bench_solver output (pair $pair)"
-    exit 1
-  fi
   solver_ratios="$solver_ratios $(awk -v n="$n" -v b="$b" 'BEGIN { printf "%.4f", n / b }')"
 done
 printf '%s\n' $solver_ratios | sort -g | awk '{ r[NR] = $1 } END {
@@ -179,36 +164,33 @@ printf '%s\n' $solver_ratios | sort -g | awk '{ r[NR] = $1 } END {
   }
 }'
 # The other thread mode only has to run. The roofline artifact it writes,
-# and the committed one, must be valid JSON with the expected shape, proven
-# by re-parsing each through metrics::json (`--check` runs the parser and
-# schema assertions without re-benchmarking).
+# and the committed one, must be valid `lovm.bench.v1` artifacts
+# (`bench_rows --check` parses them through metrics::json), and they must
+# hold the same rows: a change that adds or renames a solver row without
+# regenerating the committed artifact fails here.
 (cd "$solver_dir/new" && LOVM_THREADS=4 LOVM_BENCH_SAMPLES=5 LOVM_BENCH_BATCH_NS=200000 \
-  "$new_bin" >/dev/null 2>&1)
-for artifact in "$solver_dir/new/BENCH_solver.json" BENCH_solver.json; do
-  if ! [ -s "$artifact" ]; then
-    echo "ci: FAIL — $artifact is missing or empty"; exit 1
-  fi
-  if ! "$new_bin" --check "$artifact"; then
-    echo "ci: FAIL — $artifact failed metrics::json validation"; exit 1
-  fi
-done
+  "$new_bin" 2>/dev/null) \
+  | ./target/release/bench_rows --get solver/budgetcap_n4096_g4000_arena median_ns >/dev/null
+fresh_rows=$(./target/release/bench_rows --check "$solver_dir/new/BENCH_solver.json")
+committed_rows=$(./target/release/bench_rows --check BENCH_solver.json)
+if [ "$fresh_rows" != "$committed_rows" ]; then
+  echo "ci: FAIL — committed BENCH_solver.json rows differ from a fresh bench_solver run; regenerate it"
+  diff <(printf '%s\n' "$committed_rows") <(printf '%s\n' "$fresh_rows") || true
+  exit 1
+fi
 rm -rf "$solver_dir"
-echo "ci: fresh and committed BENCH_solver.json parse-validated"
+echo "ci: fresh and committed BENCH_solver.json validated, same rows"
 
 # Telemetry overhead gate: observing the full streamed round loop must
 # cost no more than 5% vs telemetry disabled. bench_telemetry times the
 # two modes as back-to-back pairs (no sink, so the delta is pure
-# recording) and reports the median per-pair on/off ratio — pairing is
-# what makes the gate stable on a noisy box, where sequential phases
-# drift by far more than the effect being measured.
-tel_bench=$(LOVM_THREADS=1 LOVM_BENCH_SAMPLES=25 ./target/release/bench_telemetry)
-ratio=$(printf '%s\n' "$tel_bench" \
-  | { grep -F "\"bench\":\"telemetry_stream/overhead\"" || true; } \
-  | sed 's/.*"median_ratio":\([0-9.e+-]*\).*/\1/')
+# recording) and reports the median per-pair on/off ratio as the
+# `median_ratio` extra of its `round_loop_on` row — pairing is what makes
+# the gate stable on a noisy box, where sequential phases drift by far
+# more than the effect being measured.
+ratio=$(LOVM_THREADS=1 LOVM_BENCH_SAMPLES=25 ./target/release/bench_telemetry \
+  | ./target/release/bench_rows --get telemetry_stream/round_loop_on median_ratio)
 awk -v r="$ratio" 'BEGIN {
-  if (r == "" || r <= 0) {
-    print "ci: overhead row missing from bench_telemetry output"; exit 1
-  }
   printf "ci: telemetry round-loop overhead %+.2f%% (paired median)\n", (r - 1.0) * 100
   if (r > 1.05) {
     print "ci: FAIL — telemetry overhead above the 5% ceiling"; exit 1
@@ -232,16 +214,17 @@ cleanup_serve() {
 }
 trap cleanup_serve EXIT
 
+listen_addr() { # $1 = log file; prints the address it announces within 10 s
+  for _ in $(seq 1 100); do
+    sed -n 's/^listening on //p' "$1" | grep . && return
+    sleep 0.1
+  done
+}
 start_server() { # $1 = journal dir, $2 = log file; sets serve_addr/serve_pid
   LOVM_JOURNAL="$1" LOVM_SNAPSHOT_EVERY=2 LOVM_COMPACT="${compact_every:-0}" \
     ./target/release/lovm serve --addr 127.0.0.1:0 --v 20 --budget 2 >"$2" 2>&1 &
   serve_pid=$!
-  serve_addr=""
-  for _ in $(seq 1 100); do
-    serve_addr=$(sed -n 's/^listening on //p' "$2")
-    [ -n "$serve_addr" ] && break
-    sleep 0.1
-  done
+  serve_addr=$(listen_addr "$2")
   if [ -z "$serve_addr" ]; then
     echo "ci: FAIL — lovm serve did not come up"
     exit 1
@@ -255,6 +238,21 @@ stop_server() { # $1 = signal
 drive() {
   ./target/release/lovm drive --addr "$serve_addr" --session smoke \
     --seed 7 --bidders 6 "$@" 2>/dev/null
+}
+# An interrupted session against its uninterrupted reference: the sealed
+# lines of all its client outputs, concatenated, and the final state line
+# of the last one must be byte-identical to the reference's.
+same_as_reference() { # $1 = what, $2 = reference output, $3… = outputs in order
+  local what=$1 ref=$2
+  shift 2
+  if ! diff <(cat "$@" | grep '"event":"sealed"') <(grep '"event":"sealed"' "$ref"); then
+    echo "ci: FAIL — $what's sealed rounds differ from the uninterrupted run"
+    exit 1
+  fi
+  if ! diff -q <(grep '"event":"state"' "${!#}") <(grep '"event":"state"' "$ref") >/dev/null; then
+    echo "ci: FAIL — $what's final state differs from the uninterrupted run"
+    exit 1
+  fi
 }
 
 start_server "$smoke_dir/ref" "$smoke_dir/ref.log"
@@ -271,19 +269,7 @@ start_server "$smoke_dir/crash" "$smoke_dir/c2.log"
 drive --from 0 --to 8 >"$smoke_dir/c2.out"
 stop_server TERM
 
-cat "$smoke_dir/c1.out" "$smoke_dir/c2.out" \
-  | { grep '"event":"sealed"' || true; } >"$smoke_dir/crash.sealed"
-{ grep '"event":"sealed"' "$smoke_dir/ref.out" || true; } >"$smoke_dir/ref.sealed"
-if ! diff -q "$smoke_dir/crash.sealed" "$smoke_dir/ref.sealed" >/dev/null; then
-  echo "ci: FAIL — recovered server's sealed rounds differ from the uninterrupted run"
-  diff "$smoke_dir/crash.sealed" "$smoke_dir/ref.sealed" || true
-  exit 1
-fi
-if ! diff -q <(grep '"event":"state"' "$smoke_dir/c2.out") \
-            <(grep '"event":"state"' "$smoke_dir/ref.out") >/dev/null; then
-  echo "ci: FAIL — recovered server's final state differs from the uninterrupted run"
-  exit 1
-fi
+same_as_reference "recovered server" "$smoke_dir/ref.out" "$smoke_dir/c1.out" "$smoke_dir/c2.out"
 echo "ci: serve kill-and-recover smoke ok (byte-identical after SIGKILL)"
 
 # Hostile-input smoke: one line of 300 000 `[` must get a named error on
@@ -331,7 +317,8 @@ if ! kill -0 "$serve_pid" 2>/dev/null; then
   exit 1
 fi
 stop_server TERM
-if ! diff -q <(grep '"event":"sealed"' "$smoke_dir/hostile.out") "$smoke_dir/ref.sealed" >/dev/null; then
+if ! diff -q <(grep '"event":"sealed"' "$smoke_dir/hostile.out") \
+            <(grep '"event":"sealed"' "$smoke_dir/ref.out") >/dev/null; then
   echo "ci: FAIL — sealed rounds after the hostile input differ from the reference run"
   exit 1
 fi
@@ -360,12 +347,7 @@ follower_pid=$!
   --seed 7 --bidders 6 --from 4 --to 5 --partial 2>/dev/null >/dev/null
 stop_server KILL
 
-promoted_addr=""
-for _ in $(seq 1 100); do
-  promoted_addr=$(sed -n 's/^listening on //p' "$smoke_dir/follow.log")
-  [ -n "$promoted_addr" ] && break
-  sleep 0.1
-done
+promoted_addr=$(listen_addr "$smoke_dir/follow.log")
 if [ -z "$promoted_addr" ]; then
   echo "ci: FAIL — the follower did not promote itself after the leader died"
   cat "$smoke_dir/follow.log"
@@ -377,19 +359,7 @@ kill "$follower_pid" 2>/dev/null || true
 wait "$follower_pid" 2>/dev/null || true
 follower_pid=""
 
-cat "$smoke_dir/p1.out" "$smoke_dir/p2.out" \
-  | { grep '"event":"sealed"' || true; } >"$smoke_dir/promoted.sealed"
-{ grep '"event":"sealed"' "$smoke_dir/repl-ref.out" || true; } >"$smoke_dir/repl-ref.sealed"
-if ! diff -q "$smoke_dir/promoted.sealed" "$smoke_dir/repl-ref.sealed" >/dev/null; then
-  echo "ci: FAIL — promoted follower's sealed rounds differ from the uninterrupted run"
-  diff "$smoke_dir/promoted.sealed" "$smoke_dir/repl-ref.sealed" || true
-  exit 1
-fi
-if ! diff -q <(grep '"event":"state"' "$smoke_dir/p2.out") \
-            <(grep '"event":"state"' "$smoke_dir/repl-ref.out") >/dev/null; then
-  echo "ci: FAIL — promoted follower's final state differs from the uninterrupted run"
-  exit 1
-fi
+same_as_reference "promoted follower" "$smoke_dir/repl-ref.out" "$smoke_dir/p1.out" "$smoke_dir/p2.out"
 echo "ci: follower kill-and-promote smoke ok (byte-identical after leader SIGKILL)"
 
 # Telemetry serve smoke: the same served session with LOVM_TELEMETRY on

@@ -90,15 +90,10 @@ fn documents() -> Vec<(&'static str, String)> {
     let header = journal::committed_lines(&path).unwrap().remove(0);
     std::fs::remove_file(&path).ok();
 
-    let bench_row = BenchResult {
-        name: "solver/budget_n4096_g4000_arena".into(),
-        batch: 4,
-        samples: 20,
-        min_ns: 1.0,
-        mean_ns: 2.0,
-        median_ns: 2.0,
-        p95_ns: 3.0,
-    };
+    let bench_row =
+        BenchResult::from_samples("solver/budget_n4096_g4000_arena", 4, vec![1.0, 2.0, 3.0])
+            .with("n", 4096)
+            .with("combo", "budget");
     let solver_artifact =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_solver.json")).unwrap();
 
