@@ -1,10 +1,11 @@
 //! The one reader of `lovm.bench.v1` rows (`bench::harness`) for shell gates.
 //! `--check FILE` validates an artifact file and prints its row names;
 //! `--get BENCH FIELD` requires every stdin line to be a valid row and
-//! prints FIELD of the one row named BENCH. Failures exit 1, naming the
-//! file, line, row or key.
+//! prints FIELD of the one row named BENCH; `--artifact` requires the same
+//! of stdin and prints those rows as one artifact document. Failures exit
+//! 1, naming the file, line, row or key.
 
-use bench::harness::{read_artifact, read_rows};
+use bench::harness::{artifact, read_artifact, read_rows};
 use metrics::json::JsonValue;
 
 fn run(args: &[String]) -> Result<String, String> {
@@ -31,7 +32,18 @@ fn run(args: &[String]) -> Result<String, String> {
                 None => Err(format!("row `{bench}` has no field `{field}`")),
             }
         }
-        _ => Err("usage: bench_rows --check FILE | bench_rows --get BENCH FIELD".into()),
+        [mode] if mode == "--artifact" => {
+            let text = std::io::read_to_string(std::io::stdin()).map_err(|e| e.to_string())?;
+            let rows = read_rows(&text).map_err(|e| format!("stdin {e}"))?;
+            if rows.is_empty() {
+                return Err("no rows on stdin".into());
+            }
+            Ok(artifact(&rows).to_string())
+        }
+        _ => Err(
+            "usage: bench_rows --check FILE | bench_rows --get BENCH FIELD | bench_rows --artifact"
+                .into(),
+        ),
     }
 }
 

@@ -16,16 +16,17 @@
 //!   `solver/budgetcap_n4096_g4000_arena` median_ns with `bench_rows
 //!   --get`, from this build and from the committed baseline's build, run
 //!   alternately),
-//! * stderr — the human roofline table (ns/solve, cells/ns, bytes/solve),
-//! * `BENCH_solver.json` in the working directory — exactly the rows
-//!   printed, as a `lovm.bench.v1` artifact (`bench_rows --check`
-//!   validates it).
+//! * stderr — the human roofline table (ns/solve, cells/ns, bytes/solve).
+//!
+//! It writes no file: the committed `BENCH_solver.json` is its stdout
+//! piped through `bench_rows --artifact`, so it changes only when someone
+//! regenerates it on purpose.
 
 use auction::pivots::{leave_one_out_welfares_view_into, PaymentStrategy};
 use auction::valuation::Valuation;
 use auction::vcg::{VcgAuction, VcgConfig};
 use auction::wdp::{SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView};
-use bench::harness::{artifact, BenchResult, Bencher};
+use bench::harness::{BenchResult, Bencher};
 use simrng::rngs::StdRng;
 use simrng::{RngExt, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -220,12 +221,6 @@ fn main() {
         });
         pivots.report(roofline(row, (n, grid, "budget", 0), bytes));
     }
-    let rows: Vec<BenchResult> = bencher
-        .results()
-        .iter()
-        .chain(pivots.results())
-        .cloned()
-        .collect();
 
     // Human roofline table (stderr, like the bench rows themselves).
     eprintln!();
@@ -233,7 +228,7 @@ fn main() {
         "{:<38} {:>12} {:>10} {:>12}",
         "row", "ns/solve", "cells/ns", "bytes/solve"
     );
-    for row in &rows {
+    for row in bencher.results().iter().chain(pivots.results()) {
         let json = row.to_json();
         let extra = |key| json.get(key).and_then(|v| v.as_u64()).expect("extra");
         let cells = extra("cells");
@@ -250,8 +245,4 @@ fn main() {
             extra("bytes_per_solve")
         );
     }
-
-    let text = artifact(&rows).to_string();
-    std::fs::write("BENCH_solver.json", text + "\n").expect("write BENCH_solver.json");
-    eprintln!("# wrote BENCH_solver.json ({} rows)", rows.len());
 }

@@ -19,11 +19,14 @@
 //! post-snapshot suffix that recovery replays transparently.
 //!
 //! [`MarketServer`] wraps sessions in a zero-dependency
-//! `std::net::TcpListener` accept loop: one thread per connection, each
-//! connection a reader-producer feeding a bounded `mpsc` channel into
-//! the market loop (a disconnected peer is a graceful stop, never a
-//! panic). Many sessions run concurrently, each with its own
-//! journal file keyed by the client-chosen session name.
+//! `std::net::TcpListener` accept loop: one thread per connection, which
+//! reads a request line, decides it and answers on that same thread (a
+//! disconnected peer is a graceful stop, never a panic). Responses are
+//! buffered and flushed once per burst — when no complete request is
+//! waiting, and around every request that takes the hub lock — and
+//! sockets run with `TCP_NODELAY`, so a flush is one deliberate send
+//! that no delayed ACK holds back. Many sessions run concurrently, each
+//! with its own journal file keyed by the client-chosen session name.
 //!
 //! **Replication.** A connection that says `follow` instead of `hello`
 //! becomes a live replica feed: the server sends the session's committed
@@ -51,7 +54,7 @@ use ingest::{Admission, CollectedRound, IngestConfig, RoundCollector};
 use journal::{Digest, JournalEvent, JournalWriter, Snapshot};
 use metrics::json::JsonValue;
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex};
@@ -718,7 +721,7 @@ fn stats_response(session: Option<&MarketSession>) -> JsonValue {
     v
 }
 
-fn respond(out: &mut TcpStream, v: JsonValue) -> std::io::Result<()> {
+fn respond(out: &mut impl Write, v: JsonValue) -> std::io::Result<()> {
     let mut line = v.to_string();
     line.push('\n');
     out.write_all(line.as_bytes())
@@ -855,7 +858,10 @@ impl MarketServer {
         self.listener.local_addr()
     }
 
-    /// Accepts connections forever, one handler thread per connection.
+    /// Accepts connections forever, one thread per connection: it reads,
+    /// decides and answers on that thread. `TCP_NODELAY` is on, because
+    /// the connection buffers its responses and each flush is one
+    /// deliberate burst (see [`handle_connection`]).
     pub fn run(self) -> std::io::Result<()> {
         for stream in self.listener.incoming() {
             let Ok(stream) = stream else { continue };
@@ -873,66 +879,127 @@ impl MarketServer {
 
 /// Longest request line the server reads, newline excluded: 1 MiB. A
 /// longer line gets an `error` and the connection is closed, so one peer
-/// cannot make the reader buffer without bound.
+/// cannot make the server buffer without bound.
 const MAX_LINE: usize = 1 << 20;
 
-/// The connection's reader half, a producer feeding the bounded channel
-/// (it stops once the market loop is gone).
-/// An over-long line ends the connection; an invalid-UTF-8 one does not.
-fn read_requests(stream: TcpStream, tx: mpsc::SyncSender<Result<Request, String>>) {
-    let mut reader = BufReader::new(stream);
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        // One byte past the cap tells an over-long line from a full one.
-        let limit = MAX_LINE as u64 + 1;
-        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-        } else if buf.len() > MAX_LINE {
-            let _ = tx.send(Err(format!("line longer than {MAX_LINE} bytes")));
-            break;
-        }
-        let request = match std::str::from_utf8(&buf) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => parse_request(line),
-            Err(e) => Err(format!("line is not valid UTF-8: {e}")),
-        };
-        if tx.send(request).is_err() {
-            return;
+/// What one read of a connection's request stream yields.
+enum Line {
+    /// A non-blank line: its request, or why it is refused.
+    Request(Result<Request, String>),
+    /// A blank line, or (on a non-blocking poll) no complete line yet.
+    Skip,
+    /// EOF, a read error, or the read after an over-long line.
+    End,
+}
+
+/// A connection's request lines, framed in one place: at most
+/// [`MAX_LINE`] bytes each, blank lines skipped, and a line that is not
+/// UTF-8 refused without ending the connection.
+struct Requests {
+    reader: BufReader<TcpStream>,
+    /// The line being read; a partial line survives a non-blocking poll.
+    line: Vec<u8>,
+    /// Set by an over-long line: it is refused, and nothing after it is
+    /// read.
+    ended: bool,
+}
+
+impl Requests {
+    fn new(stream: TcpStream) -> Self {
+        Requests {
+            reader: BufReader::new(stream),
+            line: Vec::new(),
+            ended: false,
         }
     }
-    // EOF (or a read error) quits the session like a polite client.
-    let _ = tx.send(Ok(Request::Quit));
+
+    /// Whether the next [`Requests::read`] can finish without waiting on
+    /// the socket.
+    fn has_line(&self) -> bool {
+        self.ended || self.reader.buffer().contains(&b'\n')
+    }
+
+    /// Reads the next line, blocking until it is complete.
+    fn read(&mut self) -> Line {
+        if self.ended {
+            return Line::End;
+        }
+        // One byte past the cap tells an over-long line from a full one.
+        let limit = (MAX_LINE + 1 - self.line.len()) as u64;
+        match (&mut self.reader)
+            .take(limit)
+            .read_until(b'\n', &mut self.line)
+        {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Line::Skip,
+            Ok(0) if self.line.is_empty() => return Line::End,
+            Err(_) => return Line::End,
+            Ok(_) => {}
+        }
+        if self.line.last() == Some(&b'\n') {
+            self.line.pop();
+        } else if self.line.len() > MAX_LINE {
+            self.ended = true;
+            return Line::Request(Err(format!("line longer than {MAX_LINE} bytes")));
+        }
+        // Otherwise the line is the stream's unterminated last one.
+        let request = match std::str::from_utf8(&self.line) {
+            Ok(line) if line.trim().is_empty() => None,
+            Ok(line) => Some(parse_request(line)),
+            Err(e) => Some(Err(format!("line is not valid UTF-8: {e}"))),
+        };
+        self.line.clear();
+        request.map_or(Line::Skip, Line::Request)
+    }
+
+    /// Reads the next line if it is already complete, without waiting:
+    /// bytes of an unfinished line stay in `line` for the next poll.
+    fn poll(&mut self) -> std::io::Result<Line> {
+        self.reader.get_ref().set_nonblocking(true)?;
+        let line = self.read();
+        self.reader.get_ref().set_nonblocking(false)?;
+        Ok(line)
+    }
 }
 
 /// Runs one connection's request loop. Before `hello` only `stats`,
 /// `follow` and `quit` do anything; `hello` opens the named session, and
 /// from then on the same loop serves its bids, seals and queries.
+///
+/// Responses are buffered and flushed once per burst: when no complete
+/// request line is waiting, before the read blocks. A request that takes
+/// the hub lock (`hello`, `follow`, `seal`) is flushed around as well, so
+/// the acks before it do not wait out a seal, and its own answer leaves
+/// at once.
 fn handle_connection(
     stream: TcpStream,
     cfg: &ServeConfig,
     active: Arc<Mutex<HashSet<String>>>,
     hub: Hub,
 ) -> std::io::Result<()> {
-    let reader = stream.try_clone()?;
-    let mut out = stream;
-    let (tx, rx) = mpsc::sync_channel::<Result<Request, String>>(cfg.ingest.capacity.min(4096));
-    std::thread::spawn(move || read_requests(reader, tx));
-
+    stream.set_nodelay(true)?;
+    let mut requests = Requests::new(stream.try_clone()?);
+    let mut out = BufWriter::new(stream);
     let mut open: Option<OpenSession> = None;
     loop {
-        // A reader that went away quits like a polite client.
-        let request = rx.recv().unwrap_or(Ok(Request::Quit));
+        if !requests.has_line() {
+            out.flush()?;
+        }
+        let request = match requests.read() {
+            Line::Request(request) => request,
+            Line::Skip => continue,
+            // The peer is gone: quit like a polite client.
+            Line::End => break,
+        };
+        let takes_hub = matches!(
+            request,
+            Ok(Request::Hello { .. } | Request::Follow { .. } | Request::Seal)
+        );
+        if takes_hub {
+            out.flush()?;
+        }
         let response = match (request, open.as_mut()) {
             (Err(msg), _) => error_response(&msg),
-            (Ok(Request::Quit), _) => {
-                let _ = respond(&mut out, JsonValue::object().field("event", "bye"));
-                return Ok(());
-            }
+            (Ok(Request::Quit), _) => break,
             // Server-wide stats work before a session is named, so a
             // monitor like `lovm top` never has to claim one.
             (Ok(Request::Stats), o) => stats_response(o.map(|o| &o.session)),
@@ -940,7 +1007,7 @@ fn handle_connection(
                 error_response("already in a session")
             }
             (Ok(Request::Follow { session }), None) => {
-                return run_follower_feed(out, &rx, cfg, &hub, &session);
+                return run_follower_feed(requests, out, cfg, &hub, &session);
             }
             (Ok(Request::Hello { session }), None) => {
                 match open_session(cfg, &active, &hub, session) {
@@ -953,7 +1020,7 @@ fn handle_connection(
                     }
                     Err(refusal) => {
                         respond(&mut out, error_response(&refusal))?;
-                        return Ok(());
+                        return out.flush();
                     }
                 }
             }
@@ -984,7 +1051,12 @@ fn handle_connection(
             ),
         };
         respond(&mut out, response)?;
+        if takes_hub {
+            out.flush()?;
+        }
     }
+    respond(&mut out, JsonValue::object().field("event", "bye"))?;
+    out.flush()
 }
 
 /// Claims session `name` for this connection and opens it, or says why
@@ -1018,10 +1090,12 @@ fn open_session(
 /// verbatim), a `live` marker, then every newly committed round's lines
 /// as the leader seals them. Registering the feed and reading the
 /// backlog happen under the same hub lock any seal publishes under, so
-/// the stream has no duplicates and no gaps.
+/// the stream has no duplicates and no gaps. Between batches, every
+/// 200 ms, the follower's socket is polled: EOF or `quit` ends the feed,
+/// and any other line is answered `followers only listen`.
 fn run_follower_feed(
-    mut out: TcpStream,
-    rx: &mpsc::Receiver<Result<Request, String>>,
+    mut requests: Requests,
+    mut out: BufWriter<TcpStream>,
     cfg: &ServeConfig,
     hub: &Hub,
     session: &str,
@@ -1045,38 +1119,30 @@ fn run_follower_feed(
             .field("session", session)
             .field("lines", backlog.len()),
     )?;
-    for line in &backlog {
-        let mut framed = line.clone();
-        framed.push('\n');
-        out.write_all(framed.as_bytes())?;
-    }
+    write_lines(&mut out, &backlog)?;
     respond(&mut out, JsonValue::object().field("event", "live"))?;
+    out.flush()?;
     loop {
         match feed_rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(batch) => {
-                let mut framed = String::new();
-                for line in &batch {
-                    framed.push_str(line);
-                    framed.push('\n');
-                }
-                out.write_all(framed.as_bytes())?;
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Reap a departed follower: its reader thread sends Quit
-                // at EOF (or the channel just disconnects).
-                match rx.try_recv() {
-                    Ok(Ok(Request::Quit)) | Err(mpsc::TryRecvError::Disconnected) => {
-                        return Ok(());
-                    }
-                    Ok(_) => {
-                        respond(&mut out, error_response("followers only listen"))?;
-                    }
-                    Err(mpsc::TryRecvError::Empty) => {}
-                }
-            }
+            Ok(batch) => write_lines(&mut out, &batch)?,
+            Err(mpsc::RecvTimeoutError::Timeout) => match requests.poll()? {
+                Line::Request(Ok(Request::Quit)) | Line::End => return Ok(()),
+                Line::Request(_) => respond(&mut out, error_response("followers only listen"))?,
+                Line::Skip => continue,
+            },
             Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
         }
+        out.flush()?;
     }
+}
+
+/// Writes committed journal lines, one per line, verbatim.
+fn write_lines(out: &mut impl Write, lines: &[String]) -> std::io::Result<()> {
+    for line in lines {
+        out.write_all(line.as_bytes())?;
+        out.write_all(b"\n")?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1764,6 +1830,90 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         line.trim_end_matches('\n').to_string()
+    }
+
+    /// The requests of two rounds and a final `state`, as wire lines.
+    fn two_round_script(session: &str) -> Vec<String> {
+        let mut script = vec![format!(r#"{{"cmd":"hello","session":"{session}"}}"#)];
+        for round in 0..2 {
+            for (at, bid) in offers_for_round(round) {
+                script.push(bid_line(at, bid));
+            }
+            script.push(r#"{"cmd":"seal"}"#.to_string());
+        }
+        script.push(r#"{"cmd":"state"}"#.to_string());
+        script
+    }
+
+    /// A client that writes every request in one burst gets the same
+    /// responses, line for line, as one that waits for each answer.
+    #[test]
+    fn tcp_pipelined_requests_match_lock_step() {
+        let script = two_round_script("p");
+        let (lock_addr, lock_dir) = start_server("tcp-lockstep");
+        let (mut out, mut reader) = connect(lock_addr);
+        let lock_step: Vec<String> = script
+            .iter()
+            .map(|line| {
+                send(&mut out, line);
+                read_raw_line(&mut reader)
+            })
+            .collect();
+
+        let (addr, dir) = start_server("tcp-pipelined");
+        let (mut out, mut reader) = connect(addr);
+        let burst: String = script.iter().map(|line| format!("{line}\n")).collect();
+        out.write_all(burst.as_bytes()).unwrap();
+        let pipelined: Vec<String> = script.iter().map(|_| read_raw_line(&mut reader)).collect();
+        assert_eq!(pipelined, lock_step);
+        assert!(
+            lock_step[6].contains(r#""event":"sealed""#),
+            "{lock_step:?}"
+        );
+        std::fs::remove_dir_all(&lock_dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A follower that sends a request is told it only listens, and its
+    /// feed keeps streaming: the next sealed batch still arrives.
+    #[test]
+    fn tcp_follower_that_talks_is_refused_and_keeps_streaming() {
+        let (addr, dir) = start_server("tcp-follow-talk");
+        let (mut out, mut reader) = connect(addr);
+        drive_round_zero(&mut out, &mut reader, "delta");
+
+        let (mut fout, mut freader) = connect(addr);
+        send(&mut fout, r#"{"cmd":"follow","session":"delta"}"#);
+        let boot = read_event(&mut freader);
+        let n = boot.get("lines").unwrap().as_usize().unwrap();
+        for _ in 0..n {
+            read_raw_line(&mut freader);
+        }
+        assert_eq!(event_of(&read_event(&mut freader)), "live");
+
+        send(&mut fout, r#"{"cmd":"stats"}"#);
+        let refused = read_event(&mut freader);
+        assert_eq!(event_of(&refused), "error");
+        let message = refused.get("message").and_then(JsonValue::as_str).unwrap();
+        assert_eq!(message, "followers only listen");
+
+        for (at, bid) in offers_for_round(1) {
+            send(&mut out, &bid_line(at, bid));
+            read_event(&mut reader);
+        }
+        send(&mut out, r#"{"cmd":"seal"}"#);
+        let sealed = read_event(&mut reader);
+        let digest = sealed.get("digest").unwrap().as_str().unwrap().to_string();
+        // 5 arrivals + seal + outcome = 7 lines, outcome last.
+        let batch: Vec<String> = (0..7).map(|_| read_raw_line(&mut freader)).collect();
+        let outcome = JournalEvent::parse_line(&batch[6]).unwrap();
+        assert!(
+            matches!(outcome, JournalEvent::Outcome { round: 1, digest: d, .. }
+                if journal::u64_hex(d) == digest),
+            "the batch must end in round 1's outcome, got {outcome:?}"
+        );
+        drop((fout, freader, out, reader));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Over real sockets: a `follow` connection bootstraps the committed

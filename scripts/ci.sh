@@ -126,34 +126,33 @@ awk -v n="$naive_ns" -v i="$incremental_ns" 'BEGIN {
 # to a kernel of that speed trips the gate. Pairing matters here: this
 # row's unpaired median moves by up to 1.7x between runs on a shared host,
 # which a fixed committed number cannot tell from a regression. Both builds
-# run in a scratch directory, because bench_solver writes
-# BENCH_solver.json into its working directory and the committed artifact
-# must stay as committed.
+# run in a scratch directory: a baseline from before bench_solver printed
+# rows only writes BENCH_solver.json into its working directory.
 solver_dir=$(mktemp -d)
 trap 'rm -rf "$solver_dir"' EXIT
 base_rev=HEAD
 if git diff --quiet HEAD -- && git rev-parse --verify -q HEAD~1 >/dev/null; then
   base_rev=HEAD~1
 fi
-mkdir "$solver_dir/base" "$solver_dir/new" "$solver_dir/src"
+mkdir "$solver_dir/src"
 git archive "$base_rev" | tar -x -C "$solver_dir/src"
 echo "ci: building the solver gate baseline at $base_rev ($(git rev-parse --short "$base_rev"))"
 CARGO_TARGET_DIR="$solver_dir/target" cargo build -q --release \
   --manifest-path "$solver_dir/src/Cargo.toml" -p bench --bin bench_solver
 base_bin="$solver_dir/target/release/bench_solver"
 new_bin="$PWD/target/release/bench_solver"
-gate_row_ns() { # $1 = binary, $2 = output dir; prints the gate row median
-  (cd "$2" && LOVM_THREADS=1 LOVM_BENCH_SAMPLES=5 LOVM_BENCH_BATCH_NS=200000 "$1" 2>/dev/null) \
+gate_row_ns() { # $1 = binary; prints the gate row median
+  (cd "$solver_dir" && LOVM_THREADS=1 LOVM_BENCH_SAMPLES=5 LOVM_BENCH_BATCH_NS=200000 "$1" 2>/dev/null) \
     | ./target/release/bench_rows --get solver/budgetcap_n4096_g4000_arena median_ns
 }
 solver_ratios=""
 for pair in 1 2 3 4 5; do
   if [ $((pair % 2)) = 1 ]; then
-    b=$(gate_row_ns "$base_bin" "$solver_dir/base")
-    n=$(gate_row_ns "$new_bin" "$solver_dir/new")
+    b=$(gate_row_ns "$base_bin")
+    n=$(gate_row_ns "$new_bin")
   else
-    n=$(gate_row_ns "$new_bin" "$solver_dir/new")
-    b=$(gate_row_ns "$base_bin" "$solver_dir/base")
+    n=$(gate_row_ns "$new_bin")
+    b=$(gate_row_ns "$base_bin")
   fi
   solver_ratios="$solver_ratios $(awk -v n="$n" -v b="$b" 'BEGIN { printf "%.4f", n / b }')"
 done
@@ -163,15 +162,15 @@ printf '%s\n' $solver_ratios | sort -g | awk '{ r[NR] = $1 } END {
     print "ci: FAIL — solver more than 1.5x slower than the baseline build on the capped budgeted n=4096 row"; exit 1
   }
 }'
-# The other thread mode only has to run. The roofline artifact it writes,
-# and the committed one, must be valid `lovm.bench.v1` artifacts
-# (`bench_rows --check` parses them through metrics::json), and they must
-# hold the same rows: a change that adds or renames a solver row without
-# regenerating the committed artifact fails here.
-(cd "$solver_dir/new" && LOVM_THREADS=4 LOVM_BENCH_SAMPLES=5 LOVM_BENCH_BATCH_NS=200000 \
-  "$new_bin" 2>/dev/null) \
-  | ./target/release/bench_rows --get solver/budgetcap_n4096_g4000_arena median_ns >/dev/null
-fresh_rows=$(./target/release/bench_rows --check "$solver_dir/new/BENCH_solver.json")
+# The other thread mode only has to run. Its rows, piped through
+# `bench_rows --artifact`, make a fresh roofline artifact; it and the
+# committed one must be valid `lovm.bench.v1` artifacts (`bench_rows
+# --check` parses them through metrics::json), and they must hold the same
+# rows: a change that adds or renames a solver row without regenerating
+# the committed artifact fails here.
+LOVM_THREADS=4 LOVM_BENCH_SAMPLES=5 LOVM_BENCH_BATCH_NS=200000 "$new_bin" 2>/dev/null \
+  | ./target/release/bench_rows --artifact >"$solver_dir/fresh.json"
+fresh_rows=$(./target/release/bench_rows --check "$solver_dir/fresh.json")
 committed_rows=$(./target/release/bench_rows --check BENCH_solver.json)
 if [ "$fresh_rows" != "$committed_rows" ]; then
   echo "ci: FAIL — committed BENCH_solver.json rows differ from a fresh bench_solver run; regenerate it"
