@@ -20,8 +20,12 @@
 //!
 //! * *Time.* At most three DP passes of m item steps each — the forward
 //!   sweep, the backward sweep, and the forward recompute of the blocks
-//!   that hold targets — so O(m·C). One O(C) split scan per target,
-//!   O(t·C). Per target, O(m) for the two traceback walks and O(s + r)
+//!   that hold targets — so O(m·C). Each item step compares its cells four
+//!   at a time on AVX2 CPUs (`wdp`'s module docs show why that leaves the
+//!   textbook DP's bits). One O(C) split scan per target, O(t·C); it
+//!   compares four split sums at a time against the running best and
+//!   re-runs the scalar rule only on a chunk where one clears it.
+//!   Per target, O(m) for the two traceback walks and O(s + r)
 //!   for the budget repair (s selected, r the prefix of the repair rank
 //!   walked), plus one O(m log m) rank of the roster per instance.
 //! * *Memory.* The two traceback tables, 2·m·C bits. Rows of f64: one
@@ -69,9 +73,9 @@
 //! sets the welfares and payments need no longer agree at all.
 
 use crate::wdp::{
-    fill_knapsack_candidates, fill_preference_order, knapsack_cell, knapsack_gcost,
+    eps_argmax, fill_knapsack_candidates, fill_preference_order, knapsack_cell, knapsack_gcost,
     knapsack_item_step_1d, knapsack_item_step_2d, knapsack_width_2d, repair_overspend, solve_view,
-    FlagTable, LooScratch, SolverArena, SolverKind, WdpInstance, WdpView, DP_EPS,
+    FlagTable, LooScratch, SolverArena, SolverKind, WdpInstance, WdpView,
 };
 
 /// How `W*₋ᵢ` pivot welfares are computed for payments.
@@ -517,33 +521,29 @@ fn merge_loo(
 /// Best prefix/suffix split of the budget (and of the winner count, when
 /// capped) for one target: `fs` is the forward row before it, `bs` the
 /// backward row after it. Scanned low-to-high with the DP's
-/// strict-improvement epsilon; both tables are monotone in count and cost,
-/// so each prefix state pairs with the full remaining capacity.
+/// strict-improvement epsilon, count plane by count plane through
+/// [`eps_argmax`] (which skips 4-cell chunks that cannot improve); both
+/// tables are monotone in count and cost, so each prefix state pairs with
+/// the full remaining capacity.
 fn best_split(fs: &[f64], bs: &[f64], rows: usize, width: usize) -> (usize, usize) {
-    let grid_eff = width - 1;
     let mut best = f64::NEG_INFINITY;
-    let (mut bj1, mut bc1) = (0usize, 0usize);
+    let mut split = (0usize, 0usize);
     for j1 in 0..rows {
         let f = &fs[j1 * width..(j1 + 1) * width];
         let b = &bs[(rows - 1 - j1) * width..(rows - j1) * width];
-        for c1 in 0..width {
-            let v = f[c1] + b[grid_eff - c1];
-            if v > best + DP_EPS {
-                best = v;
-                bj1 = j1;
-                bc1 = c1;
-            }
+        if let Some(c1) = eps_argmax(f, Some(b), &mut best) {
+            split = (j1, c1);
         }
     }
-    (bj1, bc1)
+    split
 }
 
 /// One knapsack DP item update (shared by both sweeps and the forward
 /// recompute): the classic reverse-cell relaxation, with a count dimension
 /// when `kmax` is set. Identical update rule and epsilon to the solver's
-/// knapsack, executed through the shared hot kernels
-/// (`wdp::knapsack_item_step_{1d,2d}`: saturated high-span splat, branchy
-/// compare span, word-grouped traceback bits).
+/// knapsack, executed through the shared kernels
+/// (`wdp::knapsack_item_step_{1d,2d}`: saturated high-span splat, then the
+/// compare span four cells at a time where the CPU has AVX2).
 /// `sat` is the caller-tracked saturation index (capped running sum of
 /// processed items' grid costs); returns the advanced value.
 fn knapsack_step(
@@ -563,7 +563,7 @@ fn knapsack_step(
     }
     let row = tk.row_mut(item_row);
     match kmax {
-        None => knapsack_item_step_1d(dp, row, 0, gcost, weight, sat),
+        None => knapsack_item_step_1d(dp, row, gcost, weight, sat),
         Some(kmax) => knapsack_item_step_2d(dp, row, width, kmax, gcost, weight, sat),
     }
     (sat + gcost).min(width - 1)
@@ -714,6 +714,60 @@ mod tests {
         .with_budget(8.0);
         let (inc, naive) = both(&inst, &[1, 2], SolverKind::Exhaustive);
         assert_bits_equal(&inc, &naive, "exhaustive fallback");
+    }
+
+    /// The textbook split scan: every (j, c) in order, first within
+    /// `DP_EPS` wins.
+    fn textbook_split(fs: &[f64], bs: &[f64], rows: usize, width: usize) -> (usize, usize) {
+        let mut best = f64::NEG_INFINITY;
+        let mut split = (0, 0);
+        for j1 in 0..rows {
+            for c1 in 0..width {
+                let v = fs[j1 * width + c1] + bs[(rows - 1 - j1) * width + width - 1 - c1];
+                if v > best + crate::wdp::DP_EPS {
+                    best = v;
+                    split = (j1, c1);
+                }
+            }
+        }
+        split
+    }
+
+    /// `best_split`, which skips 4-cell chunks on AVX2 CPUs, returns the
+    /// textbook scan's (j, c) when split sums tie within `DP_EPS` inside
+    /// one chunk, across a chunk edge and across count planes: the first
+    /// tied cell wins. Seeded rows of near-tied values check the same.
+    #[test]
+    fn split_scan_keeps_first_of_tied_cells() {
+        // Two ULPs above 1.0: distinct from it, but within DP_EPS of it.
+        let near = 1.0 + 4.4e-16;
+        let width = 10;
+        // Plane 0 sums (b zero): ties at cells 3 and 4 across the edge of
+        // chunks [0, 4) and [4, 8), and at cell 6 inside the second.
+        let mut fs = vec![0.0; 2 * width];
+        fs[..width].copy_from_slice(&[0.1, 0.2, 0.3, 1.0, near, 0.9, near, 0.2, 0.1, 0.0]);
+        // Plane 1 ties plane 0's best at cell 1: plane 0's cell 3 still wins.
+        fs[width + 1] = near;
+        let bs = vec![0.0; 2 * width];
+        assert_eq!(best_split(&fs, &bs, 2, width), (0, 3));
+        assert_eq!(textbook_split(&fs, &bs, 2, width), (0, 3));
+        // A plane-1 sum clearly above plane 0's best takes over.
+        fs[width + 5] = 1.5;
+        assert_eq!(best_split(&fs, &bs, 2, width), (1, 5));
+
+        let mut rng = StdRng::seed_from_u64(0x5B11);
+        for _ in 0..500 {
+            let rows = rng.random_range(1..4usize);
+            let width = rng.random_range(1..40usize);
+            let mut draw = || [1.0, near, 1.0 - 4.4e-16, 0.5, 0.0][rng.random_range(0..5usize)];
+            let fs: Vec<f64> = (0..rows * width).map(|_| draw()).collect();
+            let bs: Vec<f64> = (0..rows * width).map(|_| draw() * 0.5).collect();
+            assert_eq!(
+                best_split(&fs, &bs, rows, width),
+                textbook_split(&fs, &bs, rows, width),
+                "rows {rows} width {width}"
+            );
+        }
     }
 
     #[test]

@@ -10,6 +10,37 @@
 //! greedy approximation and a fractional upper bound used by baselines and
 //! the experiment harness. Every solve runs on one kernel, [`SolverArena`];
 //! the free [`solve`]/[`solve_view`] are wrappers over a fresh arena.
+//!
+//! **Why the vector item step is the textbook item step.** One knapsack
+//! item step sets, for each cell `c` of plane `P` from the top down,
+//! `P[c] = S[c - gc] + w` when that exceeds `P[c] + DP_EPS`, where `S`
+//! is `P` itself (1-D) or the plane below (2-D, which the descending
+//! plane order has not touched yet in this step). Cell `c` reads `S[c -
+//! gc]` and `P[c]`, and writes only `P[c]` and its own traceback bit. So
+//! each cell's outcome is a function of the values the plane held before
+//! the step, as long as no cell reads a value another cell of the step
+//! already wrote:
+//!
+//! * `P[c]` is written by cell `c` alone, after it is read.
+//! * In 1-D, `S[c - gc]` is `P[c - gc]` with `c - gc <= c`; it is written
+//!   only by cell `c - gc`, which a descending sweep visits after `c`
+//!   (or is `c` itself when `gc == 0`, read before its write). In 2-D it
+//!   lies in another plane, which this plane's cells never write.
+//!
+//! The cells are therefore independent, and any visiting order gives the
+//! same values and bits. The AVX2 compare span ([`compare_span_avx2`])
+//! visits 4-cell chunks top-down and loads both operands of a chunk before
+//! storing it: a chunk at `c` reads source cells below `c + 4 - gc <= c +
+//! 4`, and the step has stored only cells at or above `c + 4`, so every
+//! load sees pre-step values, as in the textbook loop. Each lane performs
+//! the textbook loop's float operations on the same operands — one
+//! IEEE-754 add for `S[c - gc] + w`, one for `P[c] + DP_EPS`, and an
+//! ordered greater-than (`_CMP_GT_OQ`: false on NaN, as Rust's `>`) — and
+//! the blend stores the sum exactly where the comparison holds, the lane
+//! mask setting the same traceback bits. The DP values, the traceback
+//! bits and every payment downstream are thus those of the scalar loop,
+//! which stays the whole compare span on CPUs without AVX2 and is the
+//! test oracle on CPUs with it.
 
 /// Strict-improvement epsilon of every DP/scan comparison in the solver
 /// stack: a candidate value only replaces an incumbent when it exceeds it
@@ -583,74 +614,25 @@ fn set_bit_span(row: &mut [u64], from: usize, to: usize) {
 /// One 0/1-knapsack item step on a 1-D cost-grid DP row, bit-identical to
 /// the textbook descending sweep
 /// `for c in (gc..width).rev() { if dp[c-gc] + w > dp[c] + DP_EPS { … } }`
-/// but restructured for the hot path:
-///
-/// * **Saturated span.** `dp` is constant (bitwise) for `c >= sat`, where
-///   `sat` is the capped running sum of processed items' grid costs: above
-///   the reachable cost prefix every state holds the same "take
-///   everything so far" value. For `c >= sat + gc` both `dp[c-gc]` and
-///   `dp[c]` are that constant, so the comparison has one answer for the
-///   whole span — evaluate it once, then splat-store the (identical)
-///   updated value and word-fill the traceback bits. Same comparison on
-///   the same bits as the per-cell loop, so the DP trajectory is
-///   unchanged.
-/// * **Compare span.** Below the saturation point the exact per-cell loop
-///   runs, with the conditional store kept *branchy* (stores are rare and
-///   the branch predicts well; an unconditional select-store doubles
-///   memory traffic and measures ~2× slower here) and traceback bits
-///   accumulated in a register, one `|=` per 64-cell word.
-///
-/// `bit_base` offsets the traceback bit index (`bit_base + c`) so the 2-D
-/// solver can pack its `j` planes into one row. Callers that do not track
-/// saturation pass `sat = width` (pure compare span). Returns nothing;
-/// advancing `sat` (`min(sat + gc, width - 1)`) is the caller's job since
-/// it is per-item state, not per-plane.
+/// (see [`knapsack_plane_step`] for how the sweep is restructured).
+/// Returns nothing; advancing `sat` (`min(sat + gc, width - 1)`) is the
+/// caller's job since it is per-item state, not per-plane.
 #[inline]
 pub(crate) fn knapsack_item_step_1d(
     dp: &mut [f64],
     row: &mut [u64],
-    bit_base: usize,
     gc: usize,
     w: f64,
     sat: usize,
 ) {
     let width = dp.len();
-    let uni = (sat + gc).min(width);
-    if uni < width {
-        // Representative cells: dp[uni] == dp[c] and dp[uni-gc] == dp[c-gc]
-        // for every c in the span (both indices are >= sat).
-        let candidate = dp[uni - gc] + w;
-        if candidate > dp[uni] + DP_EPS {
-            for v in dp[uni..].iter_mut() {
-                *v = candidate;
-            }
-            set_bit_span(row, bit_base + uni, bit_base + width);
-        }
-    }
-    // Exact per-cell sweep over (gc..uni), highest cells first (the same
-    // order the one-piece textbook loop visits them in).
-    let mut upper = uni;
-    while upper > gc {
-        let word = (bit_base + upper - 1) >> 6;
-        let base = word << 6;
-        let lower = gc.max(base.saturating_sub(bit_base));
-        let mut bits = row[word];
-        for c in (lower..upper).rev() {
-            let candidate = dp[c - gc] + w;
-            if candidate > dp[c] + DP_EPS {
-                dp[c] = candidate;
-                bits |= 1u64 << (bit_base + c - base);
-            }
-        }
-        row[word] = bits;
-        upper = lower;
-    }
+    knapsack_plane_step(dp, row, 0, 0, width, gc, w, sat);
 }
 
 /// One item step of the count-capped 2-D knapsack DP (`dp` is `kmax + 1`
-/// row-major planes of `width` cells; plane `j` reads plane `j - 1`).
-/// Descending `j` so every read sees pre-item state, each plane stepped by
-/// [`knapsack_item_step_1d`] against its predecessor. The saturation
+/// row-major planes of `width` cells; plane `j` reads plane `j - 1`, and
+/// its traceback bits sit at `j * width + c` in the item's row).
+/// Descending `j` so every read sees pre-item state. The saturation
 /// invariant holds per plane with the same shared `sat` (the constraint
 /// `cost <= c` is vacuous above the reachable prefix in every plane).
 #[inline]
@@ -664,35 +646,284 @@ pub(crate) fn knapsack_item_step_2d(
     sat: usize,
 ) {
     for j in (1..=kmax).rev() {
-        let (below, plane) = dp[(j - 1) * width..(j + 1) * width].split_at_mut(width);
-        let uni = (sat + gc).min(width);
-        let bit_base = j * width;
-        if uni < width {
-            let candidate = below[uni - gc] + w;
-            if candidate > plane[uni] + DP_EPS {
-                for v in plane[uni..].iter_mut() {
-                    *v = candidate;
-                }
-                set_bit_span(row, bit_base + uni, bit_base + width);
-            }
-        }
-        let mut upper = uni;
-        while upper > gc {
-            let word = (bit_base + upper - 1) >> 6;
-            let base = word << 6;
-            let lower = gc.max(base.saturating_sub(bit_base));
-            let mut bits = row[word];
-            for c in (lower..upper).rev() {
-                let candidate = below[c - gc] + w;
-                if candidate > plane[c] + DP_EPS {
-                    plane[c] = candidate;
-                    bits |= 1u64 << (bit_base + c - base);
-                }
-            }
-            row[word] = bits;
-            upper = lower;
+        knapsack_plane_step(dp, row, j * width, (j - 1) * width, width, gc, w, sat);
+    }
+}
+
+/// One item step on the plane of `width` cells at `dp[dst..]`, reading
+/// the plane at `dp[src..]` (`src == dst` in 1-D, the plane below in 2-D;
+/// `src <= dst` either way). Cell `c` takes `dp[src + c - gc] + w` when
+/// that exceeds `dp[dst + c] + DP_EPS`, and then sets traceback bit
+/// `dst + c` of `row`. Two spans:
+///
+/// * **Saturated span.** The plane is constant (bitwise) for `c >= sat`,
+///   where `sat` is the capped running sum of processed items' grid costs:
+///   above the reachable cost prefix every state holds the same "take
+///   everything so far" value. For `c >= sat + gc` both cells a comparison
+///   reads are that constant, so it has one answer for the whole span —
+///   evaluate it once, then splat-store the (identical) updated value and
+///   word-fill the traceback bits. Same comparison on the same bits as the
+///   per-cell loop, so the DP trajectory is unchanged.
+/// * **Compare span.** Below the saturation point every cell is compared,
+///   four at a time where the CPU has AVX2 (see [`compare_span`]).
+///
+/// Callers that do not track saturation pass `sat = width` (pure compare
+/// span).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn knapsack_plane_step(
+    dp: &mut [f64],
+    row: &mut [u64],
+    dst: usize,
+    src: usize,
+    width: usize,
+    gc: usize,
+    w: f64,
+    sat: usize,
+) {
+    let uni = (sat + gc).min(width);
+    if uni < width {
+        // Representative cells: dp[dst + uni] == dp[dst + c] and
+        // dp[src + uni - gc] == dp[src + c - gc] for every c in the span
+        // (both plane indices are >= sat).
+        let candidate = dp[src + uni - gc] + w;
+        if candidate > dp[dst + uni] + DP_EPS {
+            dp[dst + uni..dst + width].fill(candidate);
+            set_bit_span(row, dst + uni, dst + width);
         }
     }
+    compare_span(dp, row, dst, src, gc, uni, w);
+}
+
+/// Whether the AVX2 kernels run on this CPU (detected once, then a cached
+/// flag).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// Which compare-span and readout kernel this CPU runs: `"avx2"` or
+/// `"scalar"`. Both compute the same bits; benchmark rows record it so a
+/// timing names the code that produced it.
+pub fn knapsack_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        return "avx2";
+    }
+    "scalar"
+}
+
+/// The compare span of one plane step: cells `[gc, uni)` of the plane at
+/// `dp[dst..]`, reading the plane at `dp[src..]`, traceback bits at
+/// `dst + c`. Runs [`compare_span_avx2`] where the CPU has AVX2 and
+/// [`compare_span_scalar`] otherwise; the module docs show that both
+/// produce the textbook loop's bits.
+#[inline]
+fn compare_span(
+    dp: &mut [f64],
+    row: &mut [u64],
+    dst: usize,
+    src: usize,
+    gc: usize,
+    uni: usize,
+    w: f64,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: the CPU supports AVX2, the only target feature the
+        // function enables.
+        unsafe { compare_span_avx2(dp, row, dst, src, gc, uni, w) };
+        return;
+    }
+    compare_span_scalar(dp, row, dst, src, gc, uni, w);
+}
+
+/// The per-cell compare span, highest cells first (the textbook loop's
+/// order), with traceback bits accumulated in a register, one `|=` per
+/// 64-cell word. The whole span on CPUs without AVX2, and the cells below
+/// the last full 4-cell chunk on CPUs with it.
+fn compare_span_scalar(
+    dp: &mut [f64],
+    row: &mut [u64],
+    dst: usize,
+    src: usize,
+    gc: usize,
+    uni: usize,
+    w: f64,
+) {
+    let mut upper = uni;
+    while upper > gc {
+        let word = (dst + upper - 1) >> 6;
+        let base = word << 6;
+        let lower = gc.max(base.saturating_sub(dst));
+        let mut bits = row[word];
+        for c in (lower..upper).rev() {
+            let candidate = dp[src + c - gc] + w;
+            if candidate > dp[dst + c] + DP_EPS {
+                dp[dst + c] = candidate;
+                bits |= 1u64 << (dst + c - base);
+            }
+        }
+        row[word] = bits;
+        upper = lower;
+    }
+}
+
+/// The compare span four cells at a time: descending chunks
+/// `[c, c + 4)` from `uni` down, each loading both operands, comparing
+/// `src + w > cur + DP_EPS` with `_CMP_GT_OQ` (Rust's `>`: false on NaN),
+/// and, when any lane takes, blend-storing the chunk and OR-ing its mask
+/// into the traceback (two words when the chunk straddles a word edge).
+/// The `(uni - gc) % 4` cells below the last chunk go through
+/// [`compare_span_scalar`].
+///
+/// # Panics
+///
+/// Panics unless `src <= dst`, `dst + uni <= dp.len()` and `row` holds
+/// bit `dst + uni - 1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn compare_span_avx2(
+    dp: &mut [f64],
+    row: &mut [u64],
+    dst: usize,
+    src: usize,
+    gc: usize,
+    uni: usize,
+    w: f64,
+) {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd,
+        _mm256_set1_pd, _mm256_storeu_pd, _CMP_GT_OQ,
+    };
+    if uni <= gc {
+        return;
+    }
+    assert!(
+        src <= dst && dst + uni <= dp.len() && (dst + uni).div_ceil(64) <= row.len(),
+        "compare span out of its table"
+    );
+    let low = gc + (uni - gc) % 4;
+    let ptr = dp.as_mut_ptr();
+    let wv = _mm256_set1_pd(w);
+    let eps = _mm256_set1_pd(DP_EPS);
+    let mut c = uni;
+    while c > low {
+        c -= 4;
+        // SAFETY: gc <= low <= c and c + 4 <= uni, so the source chunk
+        // ends at src + c - gc + 4 <= src + uni - gc <= dst + uni and the
+        // target chunk at dst + c + 4 <= dst + uni, both <= dp.len() by
+        // the assert above. The source chunk was not stored yet in this
+        // step: earlier chunks stored only cells >= dst + c + 4.
+        let (from, cur) = unsafe {
+            (
+                _mm256_loadu_pd(ptr.add(src + c - gc)),
+                _mm256_loadu_pd(ptr.add(dst + c)),
+            )
+        };
+        let cand = _mm256_add_pd(from, wv);
+        let take = _mm256_cmp_pd::<_CMP_GT_OQ>(cand, _mm256_add_pd(cur, eps));
+        let mask = _mm256_movemask_pd(take) as u64;
+        if mask != 0 {
+            // SAFETY: the target chunk is in bounds, as for its load.
+            unsafe { _mm256_storeu_pd(ptr.add(dst + c), _mm256_blendv_pd(cur, cand, take)) };
+            let (word, off) = ((dst + c) >> 6, (dst + c) & 63);
+            row[word] |= mask << off;
+            if off > 60 {
+                row[word + 1] |= mask >> (64 - off);
+            }
+        }
+    }
+    compare_span_scalar(dp, row, dst, src, gc, low, w);
+}
+
+/// The strict-improvement argmax every DP readout runs: visits `c` in
+/// ascending order and keeps the first `c` whose value exceeds `*best +
+/// DP_EPS`, raising `*best` to it. The value is `f[c]` alone, or with a
+/// second row `f[c] + b[len - 1 - c]` (a prefix/suffix budget split). Returns
+/// the last improving `c`, or `None` when no cell improved on `*best`.
+pub(crate) fn eps_argmax(f: &[f64], b: Option<&[f64]>, best: &mut f64) -> Option<usize> {
+    if let Some(b) = b {
+        assert_eq!(f.len(), b.len(), "split rows differ in length");
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: the CPU supports AVX2, the only target feature the
+        // function enables.
+        return unsafe { eps_argmax_avx2(f, b, best) };
+    }
+    eps_argmax_scalar(f, b, best, 0..f.len())
+}
+
+/// The textbook [`eps_argmax`] loop over the cells `range`.
+fn eps_argmax_scalar(
+    f: &[f64],
+    b: Option<&[f64]>,
+    best: &mut f64,
+    range: std::ops::Range<usize>,
+) -> Option<usize> {
+    let last = f.len().wrapping_sub(1);
+    let mut at = None;
+    for c in range {
+        let v = match b {
+            Some(b) => f[c] + b[last - c],
+            None => f[c],
+        };
+        if v > *best + DP_EPS {
+            *best = v;
+            at = Some(c);
+        }
+    }
+    at
+}
+
+/// [`eps_argmax`] skipping whole chunks: four lanes of values are
+/// compared against a broadcast `*best + DP_EPS`, and only a chunk where
+/// some lane clears it is re-run through the scalar rule, after which the
+/// threshold is re-broadcast. Exact: a chunk with no lane above the
+/// threshold is one where the scalar loop updates nothing, and keeps the
+/// threshold it had. The `len % 4` trailing cells run scalar.
+///
+/// # Panics
+///
+/// Panics if `b` is given and differs from `f` in length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn eps_argmax_avx2(f: &[f64], b: Option<&[f64]>, best: &mut f64) -> Option<usize> {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_permute4x64_pd,
+        _mm256_set1_pd, _CMP_GT_OQ,
+    };
+    let len = f.len();
+    if let Some(b) = b {
+        assert_eq!(b.len(), len, "split rows differ in length");
+    }
+    let full = len - len % 4;
+    let mut thr = _mm256_set1_pd(*best + DP_EPS);
+    let mut at = None;
+    let mut c = 0;
+    while c < full {
+        // SAFETY: c + 4 <= full <= len = f.len(), and with a second row
+        // its chunk [len - 4 - c, len - c) lies in b[..len].
+        let v = unsafe {
+            let fv = _mm256_loadu_pd(f.as_ptr().add(c));
+            match b {
+                Some(b) => {
+                    // Lane k holds b[len - 1 - c - k]: the loaded chunk reversed.
+                    let bv = _mm256_loadu_pd(b.as_ptr().add(len - 4 - c));
+                    _mm256_add_pd(fv, _mm256_permute4x64_pd::<0b00_01_10_11>(bv))
+                }
+                None => fv,
+            }
+        };
+        if _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(v, thr)) != 0 {
+            at = eps_argmax_scalar(f, b, best, c..c + 4).or(at);
+            thr = _mm256_set1_pd(*best + DP_EPS);
+        }
+        c += 4;
+    }
+    eps_argmax_scalar(f, b, best, full..len).or(at)
 }
 
 /// Per-worker reconstruction scratch: the selection being rebuilt (as
@@ -710,13 +941,14 @@ pub(crate) struct LooScratch {
 ///
 /// The knapsack kernel computes **bit-identical** results to the textbook
 /// 0/1-knapsack DP: it keeps the exact `dp[c - gc] + w > dp[c] + DP_EPS`
-/// comparison, the same cell iteration order, and the same
-/// ascending-index reconstruction — it only restructures *where the bytes
-/// live and how the iteration space is walked* (SoA lanes walked
-/// contiguously, the per-candidate `gc <= grid` test hoisted out of the
-/// cell loop, the saturated high-cost span collapsed to one representative
-/// comparison, traceback bits accumulated per 64-cell word — see
-/// [`knapsack_item_step_1d`]). Brute force only reaches 25 items, so the
+/// comparison, the same per-cell outcomes (the module docs show the cells
+/// of one item step are independent), and the same ascending-index
+/// reconstruction — it only restructures *where the bytes live and how
+/// the iteration space is walked* (SoA lanes walked contiguously, the
+/// per-candidate `gc <= grid` test hoisted out of the cell loop, the
+/// saturated high-cost span collapsed to one representative comparison,
+/// the compare span four cells at a time on AVX2 — see
+/// [`knapsack_plane_step`]). Brute force only reaches 25 items, so the
 /// textbook DP is kept as a test-only reference (`wdp::reference`) and a
 /// seeded differential sweep pins the contract above that size.
 ///
@@ -873,19 +1105,14 @@ impl SolverArena {
                     knapsack_item_step_1d(
                         &mut self.dp[..width],
                         self.taken.row_mut(t),
-                        0,
                         gc,
                         self.weights[t],
                         sat,
                     );
                     sat = (sat + gc).min(width - 1);
                 }
-                let mut bc = 0usize;
-                for (c, &v) in self.dp.iter().enumerate() {
-                    if v > self.dp[bc] + DP_EPS {
-                        bc = c;
-                    }
-                }
+                let mut best = self.dp[0];
+                let bc = eps_argmax(&self.dp, None, &mut best).unwrap_or(0);
                 out.selected.clear();
                 let mut c = bc;
                 for t in (0..m).rev() {
@@ -928,14 +1155,8 @@ impl SolverArena {
                     sat = (sat + gc).min(width - 1);
                 }
                 // Flat row-major scan == the (j outer, c inner) order.
-                let (mut bj, mut bc, mut best) = (0usize, 0usize, 0.0f64);
-                for (idx, &v) in self.dp.iter().enumerate() {
-                    if v > best + DP_EPS {
-                        best = v;
-                        bj = idx / width;
-                        bc = idx % width;
-                    }
-                }
+                let at = eps_argmax(&self.dp, None, &mut 0.0).unwrap_or(0);
+                let (bj, bc) = (at / width, at % width);
                 out.selected.clear();
                 let (mut j, mut c) = (bj, bc);
                 for t in (0..m).rev() {
@@ -1399,6 +1620,156 @@ mod tests {
                 assert_eq!(expected.selected, warm.selected);
                 assert_eq!(expected.objective.to_bits(), warm.objective.to_bits());
             }
+        }
+    }
+
+    /// A DP value drawn to make comparisons hard: exact ties and ties
+    /// within `DP_EPS`, both zeros, and magnitudes near 1e300, where
+    /// `+ DP_EPS` is absorbed, mixed with ordinary values.
+    fn hard_value(rng: &mut StdRng) -> f64 {
+        const PALETTE: [f64; 12] = [
+            0.0,
+            -0.0,
+            1.0,
+            1.0 + 4e-16,
+            1.0 + 1e-15,
+            1.0 + 3e-15,
+            1.0 - 1e-15,
+            2.5,
+            1e300,
+            1e300 * (1.0 + f64::EPSILON),
+            -1e300,
+            f64::MIN_POSITIVE,
+        ];
+        if rng.random_range(0..3usize) == 0 {
+            rng.random_range(-1.0..4.0)
+        } else {
+            PALETTE[rng.random_range(0..PALETTE.len())]
+        }
+    }
+
+    /// Runs the AVX2 and the scalar compare span on copies of one table and
+    /// traceback row, asserting equal DP bits and traceback words.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    fn assert_compare_spans_agree(
+        dp: &[f64],
+        row: &[u64],
+        dst: usize,
+        src: usize,
+        gc: usize,
+        uni: usize,
+        w: f64,
+    ) {
+        let (mut dp_s, mut row_s) = (dp.to_vec(), row.to_vec());
+        let (mut dp_v, mut row_v) = (dp.to_vec(), row.to_vec());
+        compare_span_scalar(&mut dp_s, &mut row_s, dst, src, gc, uni, w);
+        // SAFETY: callers run this only after detecting AVX2.
+        unsafe { compare_span_avx2(&mut dp_v, &mut row_v, dst, src, gc, uni, w) };
+        let context = format!("dst {dst} src {src} gc {gc} uni {uni} w {w:e}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dp_s), bits(&dp_v), "dp bits differ: {context}");
+        assert_eq!(row_s, row_v, "traceback words differ: {context}");
+    }
+
+    /// The AVX2 compare span leaves the bits of the scalar loop: every
+    /// grid cost around the 4-cell chunk and 64-cell word edges, every
+    /// width up to 130 and the 4001 the LOVM grid uses, 1-D rows and 2-D
+    /// planes (whose traceback bits start mid-word, so 4-cell masks land at
+    /// word offsets 61–63 and straddle two words), over values tied within
+    /// `DP_EPS`, ±0.0 and magnitudes where `+ DP_EPS` is absorbed.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn compare_span_avx2_matches_scalar() {
+        if !avx2() {
+            eprintln!("no AVX2 on this CPU: only the scalar compare span runs");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0xA5C2);
+        let weights = [0.0, -0.0, 4e-16, DP_EPS, 3e-15, 0.5, 1.0, 1e300, -1.0];
+        let mut chunk_offsets = 0u64;
+        for width in (1..=130usize).chain([4001]) {
+            let mut gcs = vec![0, 1, 3, 4, 5, 63, 64, 65, width - 1, width];
+            gcs.retain(|&gc| gc <= width);
+            for gc in gcs {
+                let unis = [width, gc, rng.random_range(gc..=width)];
+                for uni in unis {
+                    let w = weights[rng.random_range(0..weights.len())];
+                    // 1-D: the plane reads itself.
+                    let dp: Vec<f64> = (0..width).map(|_| hard_value(&mut rng)).collect();
+                    let row: Vec<u64> = (0..width.div_ceil(64)).map(|_| rng.random()).collect();
+                    assert_compare_spans_agree(&dp, &row, 0, 0, gc, uni, w);
+                    // 2-D: planes 1 and 2 of three, each reading the plane
+                    // below, traceback bits at plane * width + c.
+                    let dp: Vec<f64> = (0..3 * width).map(|_| hard_value(&mut rng)).collect();
+                    let row: Vec<u64> = (0..(3 * width).div_ceil(64))
+                        .map(|_| rng.random())
+                        .collect();
+                    for j in 1..3 {
+                        let dst = j * width;
+                        assert_compare_spans_agree(&dp, &row, dst, dst - width, gc, uni, w);
+                        let low = gc + uni.saturating_sub(gc) % 4;
+                        for c in (low..uni).step_by(4) {
+                            chunk_offsets |= 1 << ((dst + c) & 63);
+                        }
+                    }
+                }
+            }
+        }
+        let edges = 0b111u64 << 61;
+        assert_eq!(
+            chunk_offsets & edges,
+            edges,
+            "2-D chunks missed word offsets 61-63"
+        );
+    }
+
+    /// Runs both [`eps_argmax`] kernels from the same `best`, asserting the
+    /// same improving cell and the same final `best` bits; returns them.
+    #[cfg(target_arch = "x86_64")]
+    fn scans_agree(f: &[f64], b: Option<&[f64]>, best: f64) -> (Option<usize>, f64) {
+        let (mut best_s, mut best_v) = (best, best);
+        let at_s = eps_argmax_scalar(f, b, &mut best_s, 0..f.len());
+        // SAFETY: callers run this only after detecting AVX2.
+        let at_v = unsafe { eps_argmax_avx2(f, b, &mut best_v) };
+        assert_eq!(at_s, at_v, "argmax cell differs on {f:?} / {b:?}");
+        assert_eq!(best_s.to_bits(), best_v.to_bits(), "best differs");
+        (at_s, best_s)
+    }
+
+    /// The chunk-skipping scan returns the scalar scan's cell: on rows
+    /// whose values tie within `DP_EPS` inside one chunk and across a chunk
+    /// edge the first of the tied cells wins, and so it does on seeded
+    /// tie-heavy rows, with and without a reversed second row.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn eps_argmax_avx2_keeps_first_of_tied_cells() {
+        if !avx2() {
+            eprintln!("no AVX2 on this CPU: only the scalar scan runs");
+            return;
+        }
+        // Two ULPs above 1.0: distinct from it, but within DP_EPS of it.
+        let (t, near) = (1.0, 1.0 + 4.4e-16);
+        assert!(near != t && near <= t + DP_EPS);
+        // Ties inside chunk [4, 8): cell 5 wins over 6 and 7.
+        let f = [0.1, 0.2, 0.3, 0.4, 0.5, t, near, t, 0.1, 0.1, 0.1];
+        assert_eq!(scans_agree(&f, None, 0.0).0, Some(5));
+        // Ties across the edge of chunks [0, 4) and [4, 8): cell 3 wins.
+        let f = [0.1, 0.2, 0.3, t, near, t, 0.0, 0.0, near];
+        assert_eq!(scans_agree(&f, None, 0.0).0, Some(3));
+        // The same ties as split sums f[c] + b[len - 1 - c]: cell 3 wins.
+        let f = [0.1, 0.2, 0.3, 0.5, near - 0.5, 0.5, 0.0, 0.0, 0.0];
+        let b = [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0];
+        assert_eq!(scans_agree(&f, Some(&b), f64::NEG_INFINITY).0, Some(3));
+        // Nothing clears the starting best: no cell.
+        assert_eq!(scans_agree(&[t, near, 0.5], None, t).0, None);
+        let mut rng = StdRng::seed_from_u64(0x5C4E);
+        for _ in 0..2000 {
+            let len = rng.random_range(0..40usize);
+            let f: Vec<f64> = (0..len).map(|_| hard_value(&mut rng)).collect();
+            let b: Vec<f64> = (0..len).map(|_| hard_value(&mut rng)).collect();
+            scans_agree(&f, None, 0.0);
+            scans_agree(&f, Some(&b), f64::NEG_INFINITY);
         }
     }
 

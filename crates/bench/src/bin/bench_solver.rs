@@ -7,9 +7,10 @@
 //!
 //! Every row is a `lovm.bench.v1` row (`bench::harness::BenchResult`)
 //! with the extras `n`, `grid`, `combo`, `cells` (DP cells one solve
-//! touches; 0 on top-K and pivot rows) and `bytes_per_solve` (heap bytes
+//! touches; 0 on top-K and pivot rows), `bytes_per_solve` (heap bytes
 //! per solve or pass, counted by a wrapping `#[global_allocator]` outside
-//! the timed region).
+//! the timed region) and `kernel` (`"avx2"` or `"scalar"`: the knapsack
+//! kernel this CPU ran, `auction::wdp::knapsack_kernel`).
 //!
 //! Output contract:
 //! * stdout — one JSON line per row (the CI gate reads
@@ -25,7 +26,9 @@
 use auction::pivots::{leave_one_out_welfares_view_into, PaymentStrategy};
 use auction::valuation::Valuation;
 use auction::vcg::{VcgAuction, VcgConfig};
-use auction::wdp::{SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView};
+use auction::wdp::{
+    knapsack_kernel, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView,
+};
 use bench::harness::{BenchResult, Bencher};
 use simrng::rngs::StdRng;
 use simrng::{RngExt, SeedableRng};
@@ -106,13 +109,15 @@ fn bytes_per_solve(mut solve: impl FnMut(), reps: u64) -> u64 {
 /// `cells` one solve touches (0 where no DP runs).
 type Shape = (usize, usize, &'static str, u64);
 
-/// The row with its shape and heap bytes per solve attached as extras.
+/// The row with its shape, heap bytes per solve and knapsack kernel
+/// attached as extras.
 fn roofline(row: BenchResult, (n, grid, combo, cells): Shape, bytes: u64) -> BenchResult {
     row.with("n", n)
         .with("grid", grid)
         .with("combo", combo)
         .with("cells", cells)
         .with("bytes_per_solve", bytes)
+        .with("kernel", knapsack_kernel())
 }
 
 /// One warm-arena row (`{combo}_n{n}[_g{grid}]_arena`): heap bytes per

@@ -122,8 +122,10 @@ awk -v n="$naive_ns" -v i="$incremental_ns" 'BEGIN {
 # builds run alternately, five pairs, each first in turn. On the capped
 # budgeted n=4096 row (the shape a LOVM round actually solves — budget plus
 # max_winners) the median of the per-pair ratios must stay within 1.5x.
-# The previous allocating kernel ran this row 2.3x slower, so falling back
-# to a kernel of that speed trips the gate. Pairing matters here: this
+# The previous allocating kernel ran this row 2.3x slower and the scalar
+# compare span runs it ~4x slower than the AVX2 one, so falling back to
+# either trips the gate. A tighter 1.3x was not taken: an A/A run (one
+# build on both sides) spread its pair ratios 0.85-1.02. Pairing matters here: this
 # row's unpaired median moves by up to 1.7x between runs on a shared host,
 # which a fixed committed number cannot tell from a regression. Both builds
 # run in a scratch directory: a baseline from before bench_solver printed
