@@ -7,6 +7,7 @@
 
 use bench::harness::{artifact, read_artifact, read_rows};
 use metrics::json::JsonValue;
+use std::io::{ErrorKind, Write};
 
 fn run(args: &[String]) -> Result<String, String> {
     match args {
@@ -47,13 +48,50 @@ fn run(args: &[String]) -> Result<String, String> {
     }
 }
 
+/// Writes `text` and a newline to `out`. A reader that closed early, as
+/// `bench_rows --check FILE | head -3` does, took what it wanted: a
+/// broken pipe is a clean finish, not an error.
+fn emit(out: &mut impl Write, text: &str) -> std::io::Result<()> {
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        done => done,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(out) => println!("{out}"),
-        Err(e) => {
-            eprintln!("bench_rows: {e}");
-            std::process::exit(1);
+    let written = run(&args).and_then(|out| {
+        emit(&mut std::io::stdout().lock(), &out).map_err(|e| format!("stdout: {e}"))
+    });
+    if let Err(e) = written {
+        eprintln!("bench_rows: {e}");
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer whose reader is gone, or that fails some other way.
+    struct Failing(ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
         }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_is_a_clean_finish() {
+        assert!(emit(&mut Failing(ErrorKind::BrokenPipe), "row").is_ok());
+        let err = emit(&mut Failing(ErrorKind::PermissionDenied), "row").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::PermissionDenied);
+        let mut out = Vec::new();
+        emit(&mut out, "row").unwrap();
+        assert_eq!(out, b"row\n");
     }
 }

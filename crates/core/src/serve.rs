@@ -28,17 +28,19 @@
 //! that no delayed ACK holds back. Many sessions run concurrently, each
 //! with its own journal file keyed by the client-chosen session name.
 //!
-//! **Replication.** A connection that says `follow` instead of `hello`
-//! becomes a live replica feed: the server sends the session's committed
-//! journal verbatim (a `bootstrap` line, the raw backlog, a `live`
-//! marker), then every newly committed round's lines the instant its
-//! seal fsyncs. A follower process ([`MarketSession::apply_replicated`],
-//! `lovm follow`) replays each line through the *same* `run_round` code
-//! path the leader ran, verifying every journaled digest bitwise, and
-//! keeps its own journal — so when the leader dies the follower can be
-//! promoted to serve the session with state exact to the bit. The
-//! replay-equality machinery is the oracle: leader and follower agree
-//! because they are the same computation.
+//! **Replication.** The journal file is the replication log. All a
+//! session shares with its followers is a mark: committed through byte B
+//! of journal file generation G, moved at each seal. A connection that
+//! says `follow` instead of `hello` becomes a feed that copies committed
+//! bytes from the file to its socket: a `bootstrap` line carrying `bytes`,
+//! those bytes, a `live` marker, then each range the mark moves past. A
+//! compaction renames a new file into place, so the feed runs the
+//! bootstrap again on the same connection. A follower ([`follow`], run by
+//! `lovm follow`) installs each bootstrap as its journal and replays each
+//! live line through the *same* `run_round` code path the leader ran,
+//! verifying every journaled digest bitwise — so when the leader dies the
+//! follower can be promoted to serve the session with state exact to the
+//! bit. Leader and follower agree because they are the same computation.
 //!
 //! Environment: `LOVM_JOURNAL` points the CLI at the journal directory,
 //! `LOVM_SNAPSHOT_EVERY` sets the snapshot cadence in sealed rounds and
@@ -51,13 +53,14 @@ use auction::bid::Bid;
 use auction::outcome::AuctionOutcome;
 use ingest::stats::{IngestStats, StreamTotals};
 use ingest::{Admission, CollectedRound, IngestConfig, RoundCollector};
-use journal::{Digest, JournalEvent, JournalWriter, Snapshot};
+use journal::{Commit, Digest, JournalEvent, JournalWriter, Snapshot};
 use metrics::json::JsonValue;
 use std::collections::{HashMap, HashSet};
+use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use workload::arrivals::TimedBid;
 
@@ -185,11 +188,6 @@ pub struct MarketSession {
     /// The most recent snapshot on disk — the boundary the next
     /// compaction may drop the journal prefix up to.
     last_snapshot: Option<Snapshot>,
-    /// Raw journal lines appended since the last commit (the feed unit
-    /// replication publishes per sealed round).
-    pending_lines: Vec<String>,
-    /// The lines the last seal committed, until a publisher drains them.
-    last_commit_lines: Vec<String>,
     /// Session-lifetime ingestion rollup. Folded in `run_round`, which
     /// replay shares — so recovery rebuilds the same totals a session
     /// that never crashed would report via the `stats` command.
@@ -240,7 +238,7 @@ impl MarketSession {
             (f, b) => f.or(b),
         };
         let writer = if cfg.journal.exists() {
-            JournalWriter::open_append(&cfg.journal, meta.committed_events)?
+            JournalWriter::open_append(&cfg.journal, meta.committed_events, meta.committed_bytes)?
         } else {
             JournalWriter::create(&cfg.journal)?
         };
@@ -283,8 +281,6 @@ impl MarketSession {
             rounds_since_compact: 0,
             recovered_rounds: 0,
             last_snapshot: snapshot,
-            pending_lines: Vec::new(),
-            last_commit_lines: Vec::new(),
             totals: resumed_totals,
         };
         let journal_path = session.cfg.journal.clone();
@@ -384,17 +380,15 @@ impl MarketSession {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let line = JournalEvent::Arrival { seq, at, bid }.to_line();
-        self.writer.append_raw(&line)?;
-        self.pending_lines.push(line);
+        self.writer
+            .append_raw(&JournalEvent::Arrival { seq, at, bid }.to_line())?;
         let admission = self.collector.offer_at(seq, TimedBid { at, bid });
         Ok((seq, admission))
     }
 
     /// Seals the next round: runs the topology-aware VCG path, journals
-    /// the seal and outcome lines, fsyncs (the commit point), stages the
-    /// round's committed lines for replication, and runs the snapshot /
-    /// compaction cadences.
+    /// the seal and outcome lines, fsyncs (the commit point), and runs the
+    /// snapshot / compaction cadences.
     pub fn seal(&mut self) -> std::io::Result<SealedOutcome> {
         let observing = telemetry::enabled();
         let solve_start = observing.then(Instant::now);
@@ -418,14 +412,9 @@ impl MarketSession {
         .to_line();
         let persist_start = observing.then(Instant::now);
         self.writer.append_raw(&seal_line)?;
-        self.pending_lines.push(seal_line);
         self.writer.append_raw(&outcome_line)?;
-        self.pending_lines.push(outcome_line);
         self.writer.sync()?;
         let persist_ns = elapsed_ns(persist_start);
-        // Everything staged since the last seal is now durable: hand it
-        // to the replication feed as one committed batch.
-        self.last_commit_lines = std::mem::take(&mut self.pending_lines);
         self.maybe_snapshot()?;
         self.maybe_compact()?;
         if observing {
@@ -455,12 +444,6 @@ impl MarketSession {
             backlog,
             digest: self.digest.value(),
         })
-    }
-
-    /// Drains the journal lines the last seal committed — the per-round
-    /// batch a replication publisher forwards to followers.
-    pub fn take_committed_lines(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.last_commit_lines)
     }
 
     fn maybe_snapshot(&mut self) -> std::io::Result<()> {
@@ -507,8 +490,13 @@ impl MarketSession {
         };
         let stats = journal::compact(&self.cfg.journal, &snap)?;
         if stats.dropped_events > 0 {
-            // The rename replaced the inode the writer held open.
-            self.writer = JournalWriter::open_append(&self.cfg.journal, self.writer.events())?;
+            // The rename replaced the inode the writer held open. A seal
+            // leaves no uncommitted tail, so the new file is all committed.
+            self.writer = JournalWriter::open_append(
+                &self.cfg.journal,
+                self.writer.events(),
+                stats.bytes_after,
+            )?;
         }
         Ok(())
     }
@@ -779,37 +767,40 @@ impl ServeConfig {
     }
 }
 
-/// Server-wide replication hub: per-session lists of follower feeds.
+/// Server-wide replication hub: each session's commit mark — its journal
+/// writer's [`Commit`], a new generation whenever the session reopens or
+/// compaction renames a new file into place — and the condvar that wakes
+/// follower feeds when a mark moves.
 ///
 /// The hub mutex is also the server's *ordering* lock: seals, snapshot
-/// and compaction renames, session opens (truncating recovery), and
-/// follower bootstrap reads all happen while holding it — so a follower
-/// registering mid-stream sees every committed line exactly once (the
-/// bootstrap read and the feed registration are atomic with respect to
-/// any concurrent seal).
+/// and compaction renames, session opens (truncating recovery), and a
+/// feed's opening of a journal file all happen while holding it — so the
+/// file a feed opens is always the one the mark it reads describes.
 #[derive(Debug, Default)]
-struct HubState {
-    followers: HashMap<String, Vec<mpsc::Sender<Vec<String>>>>,
+struct Hub {
+    marks: Mutex<HashMap<String, Commit>>,
+    moved: Condvar,
 }
 
-impl HubState {
-    /// Sends one committed batch to every live follower of `session`,
-    /// dropping feeds whose receiver has gone away.
-    fn publish(&mut self, session: &str, lines: Vec<String>) {
-        if lines.is_empty() {
-            return;
-        }
-        let Some(feeds) = self.followers.get_mut(session) else {
-            return;
-        };
-        feeds.retain(|tx| tx.send(lines.clone()).is_ok());
-        if feeds.is_empty() {
-            self.followers.remove(session);
-        }
+impl Hub {
+    /// Takes the hub lock. A panic under it cannot leave a mark half
+    /// written, so a poisoned lock is taken as it is.
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Commit>> {
+        self.marks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits up to [`FEED_POLL`] for session `name`'s mark to differ
+    /// from `seen`; returns the new mark, or `None` when it did not move.
+    fn wait_for_commit(&self, name: &str, seen: Commit) -> Option<Commit> {
+        let unmoved =
+            |marks: &mut HashMap<String, Commit>| marks.get(name).is_none_or(|m| *m == seen);
+        let (marks, _) = self
+            .moved
+            .wait_timeout_while(self.lock(), FEED_POLL, unmoved)
+            .unwrap_or_else(PoisonError::into_inner);
+        marks.get(name).copied().filter(|m| *m != seen)
     }
 }
-
-type Hub = Arc<Mutex<HubState>>;
 
 /// The TCP market server (see module docs).
 #[derive(Debug)]
@@ -817,7 +808,7 @@ pub struct MarketServer {
     listener: TcpListener,
     cfg: ServeConfig,
     active: Arc<Mutex<HashSet<String>>>,
-    hub: Hub,
+    hub: Arc<Hub>,
 }
 
 /// A session opened by `hello`. Fields drop in order: the session closes
@@ -849,7 +840,7 @@ impl MarketServer {
             listener,
             cfg,
             active: Arc::new(Mutex::new(HashSet::new())),
-            hub: Arc::new(Mutex::new(HubState::default())),
+            hub: Arc::default(),
         })
     }
 
@@ -870,7 +861,7 @@ impl MarketServer {
             let hub = Arc::clone(&self.hub);
             std::thread::spawn(move || {
                 // A dropped peer is a normal way for a connection to end.
-                let _ = handle_connection(stream, &cfg, active, hub);
+                let _ = handle_connection(stream, &cfg, active, &hub);
             });
         }
         Ok(())
@@ -881,6 +872,36 @@ impl MarketServer {
 /// longer line gets an `error` and the connection is closed, so one peer
 /// cannot make the server buffer without bound.
 const MAX_LINE: usize = 1 << 20;
+
+/// How one capped line read ended.
+enum Framed {
+    /// `line` holds a whole line, its newline stripped.
+    Line,
+    /// The stream ended; `line` holds its unterminated tail, if any.
+    Eof,
+    /// The line is longer than the cap.
+    TooLong,
+}
+
+/// Reads the rest of one `\n`-framed line into `line`, which may hold its
+/// start from a read that would have blocked. At most `cap` bytes of line
+/// are read: one more tells an over-long line from a full one.
+fn read_framed(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<Framed> {
+    let limit = (cap + 1).saturating_sub(line.len()) as u64;
+    reader.by_ref().take(limit).read_until(b'\n', line)?;
+    Ok(if line.last() == Some(&b'\n') {
+        line.pop();
+        Framed::Line
+    } else if line.len() > cap {
+        Framed::TooLong
+    } else {
+        Framed::Eof
+    })
+}
 
 /// What one read of a connection's request stream yields.
 enum Line {
@@ -924,24 +945,17 @@ impl Requests {
         if self.ended {
             return Line::End;
         }
-        // One byte past the cap tells an over-long line from a full one.
-        let limit = (MAX_LINE + 1 - self.line.len()) as u64;
-        match (&mut self.reader)
-            .take(limit)
-            .read_until(b'\n', &mut self.line)
-        {
+        match read_framed(&mut self.reader, &mut self.line, MAX_LINE) {
             Err(e) if e.kind() == ErrorKind::WouldBlock => return Line::Skip,
-            Ok(0) if self.line.is_empty() => return Line::End,
             Err(_) => return Line::End,
+            Ok(Framed::Eof) if self.line.is_empty() => return Line::End,
+            Ok(Framed::TooLong) => {
+                self.ended = true;
+                return Line::Request(Err(format!("line longer than {MAX_LINE} bytes")));
+            }
+            // A whole line, or the stream's unterminated last one.
             Ok(_) => {}
         }
-        if self.line.last() == Some(&b'\n') {
-            self.line.pop();
-        } else if self.line.len() > MAX_LINE {
-            self.ended = true;
-            return Line::Request(Err(format!("line longer than {MAX_LINE} bytes")));
-        }
-        // Otherwise the line is the stream's unterminated last one.
         let request = match std::str::from_utf8(&self.line) {
             Ok(line) if line.trim().is_empty() => None,
             Ok(line) => Some(parse_request(line)),
@@ -974,7 +988,7 @@ fn handle_connection(
     stream: TcpStream,
     cfg: &ServeConfig,
     active: Arc<Mutex<HashSet<String>>>,
-    hub: Hub,
+    hub: &Hub,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut requests = Requests::new(stream.try_clone()?);
@@ -1007,10 +1021,10 @@ fn handle_connection(
                 error_response("already in a session")
             }
             (Ok(Request::Follow { session }), None) => {
-                return run_follower_feed(requests, out, cfg, &hub, &session);
+                return run_follower_feed(requests, out, cfg, hub, &session);
             }
             (Ok(Request::Hello { session }), None) => {
-                match open_session(cfg, &active, &hub, session) {
+                match open_session(cfg, &active, hub, session) {
                     Ok(opened) => {
                         let o = open.insert(opened);
                         let head = JsonValue::object()
@@ -1033,15 +1047,15 @@ fn handle_connection(
                     .field("admission", admission_name(admission))
             }
             (Ok(Request::Seal), Some(o)) => {
-                // Seal and publish under the hub lock so every follower
-                // sees committed batches in seal order, with no window
-                // between the fsync and the feed.
+                // Seal and mark under the hub lock, so a feed opening the
+                // journal reads the mark of the file it opened.
                 let sealed = {
-                    let mut hub_state = hub.lock().expect("no session panics under the hub lock");
+                    let mut marks = hub.lock();
                     let sealed = o.session.seal()?;
-                    hub_state.publish(&o.claim.name, o.session.take_committed_lines());
+                    marks.insert(o.claim.name.clone(), o.session.writer.commit());
                     sealed
                 };
+                hub.moved.notify_all();
                 sealed_response(&sealed)
             }
             (Ok(Request::State), Some(o)) => session_summary(
@@ -1075,24 +1089,31 @@ fn open_session(
         active: Arc::clone(active),
     };
     // Open under the hub lock: recovery truncates the journal's torn
-    // tail, which must not race a follower's bootstrap read.
+    // tail, which must not race a feed opening the file.
     let opened = {
-        let _ordering = hub.lock().expect("no session panics under the hub lock");
-        MarketSession::open(cfg.session(&claim.name))
+        let mut marks = hub.lock();
+        let opened = MarketSession::open(cfg.session(&claim.name));
+        if let Ok(session) = &opened {
+            marks.insert(claim.name.clone(), session.writer.commit());
+        }
+        opened
     };
+    hub.moved.notify_all();
     match opened {
         Ok(session) => Ok(OpenSession { session, claim }),
         Err(e) => Err(format!("cannot open session `{}`: {e}", claim.name)),
     }
 }
 
-/// Serves one follower connection: bootstrap (the committed journal,
-/// verbatim), a `live` marker, then every newly committed round's lines
-/// as the leader seals them. Registering the feed and reading the
-/// backlog happen under the same hub lock any seal publishes under, so
-/// the stream has no duplicates and no gaps. Between batches, every
-/// 200 ms, the follower's socket is polled: EOF or `quit` ends the feed,
-/// and any other line is answered `followers only listen`.
+/// How often an idle feed polls its follower's socket.
+const FEED_POLL: Duration = Duration::from_millis(200);
+
+/// Serves one follower connection: a bootstrap, then each byte range the
+/// session's mark moves past, copied from the file the bootstrap pinned.
+/// A new generation re-runs the bootstrap on the same connection. Every
+/// [`FEED_POLL`] without a move the follower's socket is polled: EOF or
+/// `quit` ends the feed, and any other line is answered `followers only
+/// listen`.
 fn run_follower_feed(
     mut requests: Requests,
     mut out: BufWriter<TcpStream>,
@@ -1100,55 +1121,179 @@ fn run_follower_feed(
     hub: &Hub,
     session: &str,
 ) -> std::io::Result<()> {
-    let journal_path = cfg.session(session).journal;
-    let (backlog, feed_rx) = {
-        let mut hub_state = hub.lock().expect("no session panics under the hub lock");
-        let backlog = journal::committed_lines(&journal_path)?;
-        let (feed_tx, feed_rx) = mpsc::channel::<Vec<String>>();
-        hub_state
-            .followers
-            .entry(session.to_string())
-            .or_default()
-            .push(feed_tx);
-        (backlog, feed_rx)
-    };
-    respond(
-        &mut out,
-        JsonValue::object()
-            .field("event", "bootstrap")
-            .field("session", session)
-            .field("lines", backlog.len()),
-    )?;
-    write_lines(&mut out, &backlog)?;
-    respond(&mut out, JsonValue::object().field("event", "live"))?;
-    out.flush()?;
+    let path = cfg.session(session).journal;
+    let (mut file, mut seen) = send_bootstrap(&mut out, hub, &path, session)?;
     loop {
-        match feed_rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(batch) => write_lines(&mut out, &batch)?,
-            Err(mpsc::RecvTimeoutError::Timeout) => match requests.poll()? {
+        match hub.wait_for_commit(session, seen) {
+            Some(mark) if mark.generation != seen.generation || mark.bytes < seen.bytes => {
+                (file, seen) = send_bootstrap(&mut out, hub, &path, session)?;
+            }
+            Some(mark) => {
+                copy_journal(file.as_ref(), mark.bytes - seen.bytes, &mut out)?;
+                seen = mark;
+            }
+            None => match requests.poll()? {
                 Line::Request(Ok(Request::Quit)) | Line::End => return Ok(()),
                 Line::Request(_) => respond(&mut out, error_response("followers only listen"))?,
                 Line::Skip => continue,
             },
-            Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
         }
         out.flush()?;
     }
 }
 
-/// Writes committed journal lines, one per line, verbatim.
-fn write_lines(out: &mut impl Write, lines: &[String]) -> std::io::Result<()> {
-    for line in lines {
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
+/// Sends `bootstrap`, the committed journal bytes and `live`. Under the
+/// hub lock it opens the journal, pinning the file, and reads the mark; a
+/// session no connection has opened has none, and a scan finds how much
+/// of its journal is committed. Returns the pinned file (none if there is
+/// no journal yet), read up to the mark, and the mark.
+fn send_bootstrap(
+    out: &mut BufWriter<TcpStream>,
+    hub: &Hub,
+    path: &Path,
+    session: &str,
+) -> std::io::Result<(Option<File>, Commit)> {
+    let (file, mark) = {
+        let marks = hub.lock();
+        let file = File::open(path).ok();
+        let mark = match marks.get(session) {
+            Some(mark) => *mark,
+            None => Commit {
+                bytes: journal::scan_meta(path)?.committed_bytes,
+                generation: 0,
+            },
+        };
+        (file, mark)
+    };
+    let head = JsonValue::object()
+        .field("event", "bootstrap")
+        .field("session", session)
+        .field("bytes", mark.bytes);
+    respond(out, head)?;
+    copy_journal(file.as_ref(), mark.bytes, out)?;
+    respond(out, JsonValue::object().field("event", "live"))?;
+    out.flush()?;
+    Ok((file, mark))
+}
+
+/// Copies the next `len` bytes of a pinned journal file to a feed, outside
+/// the hub lock: committed bytes of a file never change.
+fn copy_journal(file: Option<&File>, len: u64, out: &mut impl Write) -> std::io::Result<()> {
+    if file.map_or(Ok(0), |file| std::io::copy(&mut file.take(len), out))? < len {
+        return Err(ErrorKind::UnexpectedEof.into());
     }
     Ok(())
+}
+
+/// What a follower just applied; [`follow`] reports each to its caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replicated {
+    /// A bootstrap replaced the replica's journal.
+    Bootstrap,
+    /// One live round committed.
+    Round,
+}
+
+/// Longest live feed line a follower reads. A seal or outcome line holds
+/// one entry per sealed bid or award, and an entry renders in at most
+/// 1 KiB: four numbers of at most 327 characters (an `f64` prints every
+/// digit), plus keys. Under `Backpressure::Shed` a round seals at most
+/// its own buffered arrivals plus those deferred from the round before;
+/// four more entries' worth covers the line's own fields. Under `Block`,
+/// arrivals parked past a full buffer join a later round, which can then
+/// seal more than this cap allows.
+fn feed_line_cap(ingest: &IngestConfig) -> usize {
+    const ENTRY_BYTES: usize = 1 << 10;
+    ingest
+        .capacity
+        .saturating_mul(2)
+        .saturating_add(4)
+        .saturating_mul(ENTRY_BYTES)
+}
+
+/// Keeps a live replica of session `name` from the leader feed it
+/// requests on `stream`: installs each bootstrap (see
+/// [`install_bootstrap`]) and replays each live line through
+/// [`MarketSession::apply_replicated`], telling `on_commit` of both.
+/// Returns when the feed ends: the leader is gone.
+///
+/// # Errors
+///
+/// I/O errors, and `InvalidData` for a feed line longer than the session's
+/// ingest limits allow, a line out of place, or a replay that diverges.
+pub fn follow(
+    stream: TcpStream,
+    name: &str,
+    cfg: &SessionConfig,
+    mut on_commit: impl FnMut(Replicated, &MarketSession),
+) -> std::io::Result<()> {
+    let request = JsonValue::object()
+        .field("cmd", "follow")
+        .field("session", name);
+    respond(&mut &stream, request)?;
+    let cap = feed_line_cap(&cfg.ingest);
+    let mut feed = BufReader::new(stream);
+    let (mut line, mut replica) = (Vec::new(), None);
+    loop {
+        line.clear();
+        match read_framed(&mut feed, &mut line, cap)? {
+            Framed::Line => {}
+            // A torn last line is dropped: it was never committed here.
+            Framed::Eof => return Ok(()),
+            Framed::TooLong => return Err(corrupt(format!("feed line longer than {cap} bytes"))),
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|e| corrupt(format!("feed line is not UTF-8: {e}")))?;
+        if text.starts_with(r#"{"event":"bootstrap","#) {
+            let bytes = JsonValue::parse(text)
+                .ok()
+                .and_then(|v| v.get("bytes")?.as_u64());
+            let bytes = bytes.ok_or_else(|| corrupt(format!("malformed bootstrap `{text}`")))?;
+            let Some(session) = install_bootstrap(&mut feed, bytes, cfg, replica.take())? else {
+                return Ok(());
+            };
+            on_commit(Replicated::Bootstrap, &session);
+            replica = Some(session);
+        } else if text != r#"{"event":"live"}"# {
+            let Some(session) = replica.as_mut() else {
+                return Err(corrupt(format!("expected a bootstrap, got `{text}`")));
+            };
+            if session.apply_replicated(text)?.is_some() {
+                on_commit(Replicated::Round, session);
+            }
+        }
+    }
+}
+
+/// Installs a bootstrap of `bytes` journal bytes from `feed`: they land in
+/// a temp file beside the journal and are fsynced; only then is the old
+/// `replica` dropped, the temp file renamed over the journal, and the
+/// replica reopened. Returns `None`, with the old journal in place, when
+/// the feed ends mid-bootstrap.
+fn install_bootstrap(
+    feed: &mut impl BufRead,
+    bytes: u64,
+    cfg: &SessionConfig,
+    replica: Option<MarketSession>,
+) -> std::io::Result<Option<MarketSession>> {
+    let mut tmp = cfg.journal.clone().into_os_string();
+    tmp.push(".bootstrap.tmp");
+    let mut file = File::create(&tmp)?;
+    if std::io::copy(&mut feed.by_ref().take(bytes), &mut file)? < bytes {
+        std::fs::remove_file(&tmp)?;
+        return Ok(None);
+    }
+    file.sync_data()?;
+    drop(replica);
+    std::fs::rename(&tmp, &cfg.journal)?;
+    journal::fsync_parent_dir(&cfg.journal);
+    MarketSession::open(cfg.clone()).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
+    use std::io::{Seek, SeekFrom};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1185,6 +1330,15 @@ mod tests {
                 (at, Bid::new(i, cost, data, quality))
             })
             .collect()
+    }
+
+    /// A journal's committed prefix, compaction header included: what a
+    /// follower's bootstrap copies.
+    fn committed_prefix(path: &Path) -> String {
+        let committed = journal::scan_meta(path).unwrap().committed_bytes as usize;
+        let mut text = std::fs::read_to_string(path).unwrap();
+        text.truncate(committed);
+        text
     }
 
     fn drive_rounds(
@@ -1305,15 +1459,14 @@ mod tests {
         let mut leader = MarketSession::open(leader_cfg).unwrap();
         drive_rounds(&mut leader, 0..3);
 
-        // Bootstrap: the leader's committed journal, written verbatim
+        // Bootstrap: the leader's committed journal bytes, copied verbatim
         // (compaction header included) into the follower's journal.
-        let backlog = journal::committed_lines(leader_dir.join("market.jsonl")).unwrap();
-        let mut text = String::new();
-        for line in &backlog {
-            text.push_str(line);
-            text.push('\n');
-        }
-        std::fs::write(follower_dir.join("market.jsonl"), text).unwrap();
+        let leader_journal = leader_dir.join("market.jsonl");
+        std::fs::write(
+            follower_dir.join("market.jsonl"),
+            committed_prefix(&leader_journal),
+        )
+        .unwrap();
         let mut follower_cfg = session_cfg(&follower_dir, 2);
         follower_cfg.compact_every = 2;
         let mut follower = MarketSession::open(follower_cfg.clone()).unwrap();
@@ -1323,14 +1476,22 @@ mod tests {
         // Live: every sealed round's committed batch replays through the
         // same code path, the journaled digest checked at each outcome.
         for r in 3..6 {
+            // The round's lines are the bytes past the journal file's
+            // committed length. A compaction at this seal renames a new
+            // file into place, but the one opened here keeps them.
+            let mut pinned = std::fs::File::open(&leader_journal).unwrap();
+            pinned
+                .seek(SeekFrom::Start(leader.writer.commit().bytes))
+                .unwrap();
             for (at, bid) in offers_for_round(r) {
                 leader.offer(at, bid).unwrap();
             }
             let sealed = leader.seal().unwrap();
-            let batch = leader.take_committed_lines();
-            assert!(!batch.is_empty(), "a seal publishes its lines");
+            let mut batch = String::new();
+            pinned.read_to_string(&mut batch).unwrap();
+            assert!(!batch.is_empty(), "a seal commits its lines");
             let mut committed = None;
-            for line in &batch {
+            for line in batch.lines() {
                 if let Some(commit) = follower.apply_replicated(line).unwrap() {
                     committed = Some(commit);
                 }
@@ -1472,7 +1633,8 @@ mod tests {
         // Truncate the journal back to round 1's outcome while keeping
         // the (now too-new) snapshot from round 3 in place.
         let journal_path = dir.join("market.jsonl");
-        let lines = journal::committed_lines(&journal_path).unwrap();
+        let prefix = committed_prefix(&journal_path);
+        let lines: Vec<String> = prefix.lines().map(str::to_string).collect();
         let keep: Vec<&String> = {
             let mut outcomes = 0;
             lines
@@ -1565,10 +1727,15 @@ mod tests {
     /// thread; returns its address and the dir.
     fn start_server(tag: &str) -> (SocketAddr, PathBuf) {
         let dir = temp_dir(tag);
-        let server = MarketServer::bind(ServeConfig::new("127.0.0.1:0", &dir)).unwrap();
+        (serve(ServeConfig::new("127.0.0.1:0", &dir)), dir)
+    }
+
+    /// Runs a server on its own thread; returns its address.
+    fn serve(cfg: ServeConfig) -> SocketAddr {
+        let server = MarketServer::bind(cfg).unwrap();
         let addr = server.local_addr().unwrap();
         std::thread::spawn(move || server.run());
-        (addr, dir)
+        addr
     }
 
     /// A client connection whose reads time out, so a server that stops
@@ -1885,10 +2052,8 @@ mod tests {
         let (mut fout, mut freader) = connect(addr);
         send(&mut fout, r#"{"cmd":"follow","session":"delta"}"#);
         let boot = read_event(&mut freader);
-        let n = boot.get("lines").unwrap().as_usize().unwrap();
-        for _ in 0..n {
-            read_raw_line(&mut freader);
-        }
+        let n = boot.get("bytes").unwrap().as_usize().unwrap();
+        freader.read_exact(&mut vec![0u8; n]).unwrap();
         assert_eq!(event_of(&read_event(&mut freader)), "live");
 
         send(&mut fout, r#"{"cmd":"stats"}"#);
@@ -1938,11 +2103,12 @@ mod tests {
         send(&mut fout, r#"{"cmd":"follow","session":"beta"}"#);
         let boot = read_event(&mut freader);
         assert_eq!(boot.get("event").unwrap().as_str(), Some("bootstrap"));
-        let n = boot.get("lines").unwrap().as_usize().unwrap();
-        let backlog: Vec<String> = (0..n).map(|_| read_raw_line(&mut freader)).collect();
+        let n = boot.get("bytes").unwrap().as_usize().unwrap();
+        let mut backlog = vec![0u8; n];
+        freader.read_exact(&mut backlog).unwrap();
         assert_eq!(
             backlog,
-            journal::committed_lines(dir.join("beta.jsonl")).unwrap(),
+            committed_prefix(&dir.join("beta.jsonl")).into_bytes(),
             "bootstrap must be the committed journal, byte for byte"
         );
         let live = read_event(&mut freader);
@@ -1971,6 +2137,219 @@ mod tests {
             other => panic!("the batch must end in the outcome, got {other:?}"),
         }
         drop((fout, freader, out, reader));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A follower keeps up with a leader that compacts every two rounds
+    /// while it seals: each compaction renames a new journal file into
+    /// place, the feed re-bootstraps on the same connection, and after
+    /// every round the replica's digest and backlog match the leader's.
+    #[test]
+    fn tcp_follower_rebootstraps_across_compactions() {
+        let dir = temp_dir("tcp-follow-compact");
+        let mut leader_cfg = ServeConfig::new("127.0.0.1:0", &dir);
+        leader_cfg.snapshot_every = 2;
+        leader_cfg.compact_every = 2;
+        leader_cfg.lovm = session_cfg(&dir, 2).lovm;
+        let mut replica_cfg = leader_cfg.clone();
+        replica_cfg.journal_dir = temp_dir("tcp-follow-compact-replica");
+        let replica_session = replica_cfg.session("omega");
+        let addr = serve(leader_cfg);
+
+        let (mut out, mut reader) = connect(addr);
+        drive_round_zero(&mut out, &mut reader, "omega");
+        let stream = TcpStream::connect(addr).unwrap();
+        let feed = stream.try_clone().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let follower = std::thread::spawn(move || {
+            follow(stream, "omega", &replica_session, |applied, s| {
+                let state = (s.rounds_sealed(), s.digest(), s.backlog().to_bits());
+                tx.send((applied, state)).unwrap();
+            })
+        });
+
+        let mut rebootstraps = 0;
+        let mut last = (0, 0, 0);
+        for r in 1..9 {
+            for (at, bid) in offers_for_round(r) {
+                send(&mut out, &bid_line(at, bid));
+                read_event(&mut reader);
+            }
+            send(&mut out, r#"{"cmd":"seal"}"#);
+            let sealed = read_event(&mut reader);
+            let digest = sealed.get("digest").unwrap().as_str().unwrap();
+            let backlog = sealed.get("backlog").unwrap().as_f64().unwrap();
+            last = (
+                r + 1,
+                journal::u64_from_hex(digest).unwrap(),
+                backlog.to_bits(),
+            );
+            // Wait until the replica holds this round.
+            loop {
+                let (applied, state) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+                if r > 1 && applied == Replicated::Bootstrap {
+                    rebootstraps += 1;
+                }
+                if state.0 == r + 1 {
+                    assert_eq!(state, last, "replica after round {r}");
+                    break;
+                }
+            }
+        }
+        assert!(
+            rebootstraps >= 3,
+            "each compaction re-bootstraps the feed, saw {rebootstraps}"
+        );
+        // The leader compacted at its last seal, so the replica's journal
+        // is the fresh bootstrap: the leader's committed bytes.
+        feed.shutdown(std::net::Shutdown::Both).unwrap();
+        follower.join().unwrap().unwrap();
+        let replica_journal = replica_cfg.session("omega").journal;
+        assert_eq!(
+            std::fs::read_to_string(&replica_journal).unwrap(),
+            committed_prefix(&dir.join("omega.jsonl"))
+        );
+        // Promoted, the replica resumes at the leader's last round.
+        let promoted = MarketSession::open(replica_cfg.session("omega")).unwrap();
+        let state = (
+            promoted.rounds_sealed(),
+            promoted.digest(),
+            promoted.backlog().to_bits(),
+        );
+        assert_eq!(state, last);
+        drop((out, reader));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&replica_cfg.journal_dir).ok();
+    }
+
+    /// A leader for one follower: it checks the `follow` request for
+    /// session `market`, sends `feed`, then (with `endless`) one line that
+    /// never ends, until the follower hangs up, and closes.
+    fn fake_leader(feed: String, endless: bool) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let leader = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(conn.try_clone().unwrap())
+                .read_line(&mut request)
+                .unwrap();
+            assert_eq!(request, "{\"cmd\":\"follow\",\"session\":\"market\"}\n");
+            conn.write_all(feed.as_bytes()).unwrap();
+            let chunk = [b'x'; 1 << 16];
+            while endless && conn.write_all(&chunk).is_ok() {}
+        });
+        (addr, leader)
+    }
+
+    /// A bootstrap line for `bytes` journal bytes.
+    fn bootstrap_line(bytes: usize) -> String {
+        format!("{{\"event\":\"bootstrap\",\"session\":\"market\",\"bytes\":{bytes}}}\n")
+    }
+
+    /// A follower frames live lines with a cap from the session's ingest
+    /// capacity: a leader that sends a valid bootstrap and then a line
+    /// that never ends gets a named error, not a follower that reads on.
+    #[test]
+    fn follower_refuses_an_endless_feed_line() {
+        let leader_dir = temp_dir("endless-leader");
+        let mut leader = MarketSession::open(session_cfg(&leader_dir, 2)).unwrap();
+        drive_rounds(&mut leader, 0..1);
+        let journal = committed_prefix(&leader_dir.join("market.jsonl"));
+        let feed = bootstrap_line(journal.len()) + &journal + "{\"event\":\"live\"}\n";
+        let (addr, fake_leader) = fake_leader(feed, true);
+
+        let follower_dir = temp_dir("endless-follower");
+        let mut cfg = session_cfg(&follower_dir, 2);
+        cfg.ingest.capacity = 8;
+        let mut rounds = None;
+        let err = follow(TcpStream::connect(addr).unwrap(), "market", &cfg, |_, s| {
+            rounds = Some(s.rounds_sealed())
+        })
+        .unwrap_err();
+        assert_eq!(rounds, Some(1), "the bootstrap was installed");
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        let cap = feed_line_cap(&cfg.ingest);
+        assert!(
+            err.to_string()
+                .contains(&format!("feed line longer than {cap} bytes")),
+            "{err}"
+        );
+        fake_leader.join().unwrap();
+        std::fs::remove_dir_all(&leader_dir).ok();
+        std::fs::remove_dir_all(&follower_dir).ok();
+    }
+
+    /// A leader that dies partway through a bootstrap leaves the
+    /// follower's journal as it was: the follower returns, and its replica
+    /// opens at the round it last committed.
+    #[test]
+    fn follower_keeps_its_journal_when_the_leader_dies_mid_bootstrap() {
+        let leader_dir = temp_dir("torn-boot-leader");
+        let leader_journal = leader_dir.join("market.jsonl");
+        let mut leader = MarketSession::open(session_cfg(&leader_dir, 2)).unwrap();
+        drive_rounds(&mut leader, 0..1);
+        let first = committed_prefix(&leader_journal);
+        drive_rounds(&mut leader, 1..2);
+        let second = committed_prefix(&leader_journal);
+        let mut feed = bootstrap_line(first.len()) + &first + "{\"event\":\"live\"}\n";
+        feed += &second[first.len()..];
+        feed += &bootstrap_line(second.len());
+        feed += &second[..second.len() / 2];
+        let (addr, fake_leader) = fake_leader(feed, false);
+
+        let follower_dir = temp_dir("torn-boot-follower");
+        let cfg = session_cfg(&follower_dir, 2);
+        let mut commits = Vec::new();
+        follow(
+            TcpStream::connect(addr).unwrap(),
+            "market",
+            &cfg,
+            |applied, s| commits.push((applied, s.rounds_sealed())),
+        )
+        .unwrap();
+        fake_leader.join().unwrap();
+        assert_eq!(
+            commits,
+            [(Replicated::Bootstrap, 1), (Replicated::Round, 2)]
+        );
+        assert_eq!(std::fs::read_to_string(&cfg.journal).unwrap(), second);
+        let replica = MarketSession::open(cfg).unwrap();
+        assert_eq!(replica.rounds_sealed(), 2);
+        assert_eq!(replica.digest(), leader.digest());
+        let files: Vec<_> = std::fs::read_dir(&follower_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["market.jsonl"], "no temp file is left behind");
+        std::fs::remove_dir_all(&leader_dir).ok();
+        std::fs::remove_dir_all(&follower_dir).ok();
+    }
+
+    /// A panic while the hub lock is held poisons it; the server takes
+    /// the lock as it is, and another session still opens, bids and
+    /// seals exactly as on a clean server.
+    #[test]
+    fn tcp_poisoned_hub_lock_still_serves() {
+        let (clean, clean_dir) = start_server("tcp-poison-clean");
+        let (mut out, mut reader) = connect(clean);
+        let reference = drive_round_zero(&mut out, &mut reader, "b");
+
+        let dir = temp_dir("tcp-poison");
+        let server = MarketServer::bind(ServeConfig::new("127.0.0.1:0", &dir)).unwrap();
+        let addr = server.local_addr().unwrap();
+        let hub = Arc::clone(&server.hub);
+        let poisoner = std::thread::spawn(move || {
+            let _held = hub.lock();
+            panic!("a session panics under the hub lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.hub.marks.is_poisoned());
+        std::thread::spawn(move || server.run());
+
+        let (mut out, mut reader) = connect(addr);
+        assert_eq!(drive_round_zero(&mut out, &mut reader, "b"), reference);
+        std::fs::remove_dir_all(&clean_dir).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

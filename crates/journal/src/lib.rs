@@ -29,8 +29,8 @@ pub mod store;
 pub use event::JournalEvent;
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
 pub use store::{
-    committed_lines, compact, recover_meta, scan_meta, stream_events, CompactStats, JournalMeta,
-    JournalWriter, OutcomeMark,
+    compact, fsync_parent_dir, recover_meta, scan_meta, stream_events, Commit, CompactStats,
+    JournalMeta, JournalWriter, OutcomeMark,
 };
 
 /// Running FNV-1a digest over the bit patterns of a market trajectory.

@@ -30,14 +30,15 @@ use crate::event::JournalEvent;
 use crate::snapshot::Snapshot;
 use metrics::json::JsonValue;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fsyncs the parent directory of `path` (best effort): makes a just
 /// created or just renamed directory entry durable. Some filesystems
 /// refuse directory fsync; the rename's atomicity already guarantees
 /// consistency, so a refusal is not fatal.
-pub(crate) fn fsync_parent_dir(path: &Path) {
+pub fn fsync_parent_dir(path: &Path) {
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d,
         _ => Path::new("."),
@@ -47,12 +48,39 @@ pub(crate) fn fsync_parent_dir(path: &Path) {
     }
 }
 
-/// Appends [`JournalEvent`]s to a journal file, one JSON line each.
+/// How far a journal file is committed: through byte `bytes` of the file
+/// named by `generation`. Each [`JournalWriter`] draws its generation from
+/// a process-wide counter when it opens its file, so a generation is
+/// never reused, and a reader holding a file open can tell from it whether
+/// the writer still appends to that file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Commit {
+    /// The file's length at the writer's last sync (or at open).
+    pub bytes: u64,
+    /// The writer's file generation; 0 is never drawn.
+    pub generation: u64,
+}
+
+impl Commit {
+    /// `bytes` committed in a file a new writer just opened.
+    fn opened(bytes: u64) -> Commit {
+        // Relaxed: the counter publishes no other data.
+        static GENERATIONS: AtomicU64 = AtomicU64::new(1);
+        let generation = GENERATIONS.fetch_add(1, Ordering::Relaxed);
+        Commit { bytes, generation }
+    }
+}
+
+/// Appends [`JournalEvent`]s to a journal file, one JSON line each, and
+/// counts the bytes it appends: the file's committed length is the byte
+/// count at the last [`JournalWriter::sync`].
 #[derive(Debug)]
 pub struct JournalWriter {
     file: BufWriter<File>,
     path: PathBuf,
     events: u64,
+    bytes: u64,
+    commit: Commit,
 }
 
 impl JournalWriter {
@@ -67,20 +95,30 @@ impl JournalWriter {
             file: BufWriter::new(file),
             path,
             events: 0,
+            bytes: 0,
+            commit: Commit::opened(0),
         })
     }
 
     /// Opens an existing journal for appending after recovery;
     /// `recovered_events` is the committed *logical* event count the
     /// recovery scan returned — including any compacted-away prefix —
-    /// so event numbering continues from there.
-    pub fn open_append(path: impl Into<PathBuf>, recovered_events: u64) -> std::io::Result<Self> {
+    /// so event numbering continues from there, and `recovered_bytes` is
+    /// the file's committed length, which recovery truncated it to (or a
+    /// compaction wrote).
+    pub fn open_append(
+        path: impl Into<PathBuf>,
+        recovered_events: u64,
+        recovered_bytes: u64,
+    ) -> std::io::Result<Self> {
         let path = path.into();
         let file = OpenOptions::new().append(true).open(&path)?;
         Ok(JournalWriter {
             file: BufWriter::new(file),
             path,
             events: recovered_events,
+            bytes: recovered_bytes,
+            commit: Commit::opened(recovered_bytes),
         })
     }
 
@@ -92,6 +130,12 @@ impl JournalWriter {
     /// Logical events appended (or recovered, or compacted away) so far.
     pub fn events(&self) -> u64 {
         self.events
+    }
+
+    /// How far the file is committed: every byte below `bytes` is, and
+    /// never changes.
+    pub fn commit(&self) -> Commit {
+        self.commit
     }
 
     /// Appends one event line and flushes it to the OS. Not yet durable —
@@ -110,6 +154,7 @@ impl JournalWriter {
         self.file.write_all(b"\n")?;
         self.file.flush()?;
         self.events += 1;
+        self.bytes += line.len() as u64 + 1;
         Ok(())
     }
 
@@ -121,7 +166,9 @@ impl JournalWriter {
         // span is what `lovm top` renders as `journal.fsync_ns`.
         let _fsync_span = telemetry::hist!("journal.fsync_ns").span();
         self.file.flush()?;
-        self.file.get_ref().sync_data()
+        self.file.get_ref().sync_data()?;
+        self.commit.bytes = self.bytes;
+        Ok(())
     }
 }
 
@@ -359,26 +406,6 @@ pub fn stream_events(
 }
 
 // ---------------------------------------------------------------------
-// Raw committed lines (diagnostics, replication bootstrap).
-// ---------------------------------------------------------------------
-
-/// Reads a journal's full committed contents as raw lines — compaction
-/// header included — for diagnostics and the replication bootstrap
-/// (replay uses [`stream_events`]).
-pub fn committed_lines(path: impl AsRef<Path>) -> std::io::Result<Vec<String>> {
-    let meta = scan_meta(path.as_ref())?;
-    if meta.committed_bytes == 0 {
-        return Ok(Vec::new());
-    }
-    let mut file = File::open(path.as_ref())?;
-    let mut buf = vec![0u8; meta.committed_bytes as usize];
-    file.seek(SeekFrom::Start(0))?;
-    file.read_exact(&mut buf)?;
-    let text = String::from_utf8(buf).expect("committed prefix is valid UTF-8");
-    Ok(text.lines().map(str::to_string).collect())
-}
-
-// ---------------------------------------------------------------------
 // Compaction.
 // ---------------------------------------------------------------------
 
@@ -552,11 +579,26 @@ mod tests {
         events
     }
 
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    /// The committed prefix of a journal as raw lines, compaction header
+    /// included: what a replication bootstrap sends.
+    fn committed_prefix_lines(path: &Path) -> Vec<String> {
+        let meta = scan_meta(path).unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
+        text[..meta.committed_bytes as usize]
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
     fn write_rounds(path: &Path, rounds: std::ops::Range<usize>) -> Vec<JournalEvent> {
         let mut w = if rounds.start == 0 {
             JournalWriter::create(path).unwrap()
         } else {
-            JournalWriter::open_append(path, rounds.start as u64 * 4).unwrap()
+            JournalWriter::open_append(path, rounds.start as u64 * 4, file_len(path)).unwrap()
         };
         let mut all = Vec::new();
         for r in rounds {
@@ -606,7 +648,7 @@ mod tests {
         let committed = write_rounds(&path, 0..1);
         // A round in flight: two arrivals and a seal, but no outcome —
         // then the crash. Recovery must land on round 0.
-        let mut w = JournalWriter::open_append(&path, 4).unwrap();
+        let mut w = JournalWriter::open_append(&path, 4, file_len(&path)).unwrap();
         w.append(&arrival(2, 1.2, 0)).unwrap();
         w.append(&JournalEvent::Seal {
             round: 1,
@@ -644,12 +686,12 @@ mod tests {
     fn append_after_recovery_continues_the_log() {
         let path = temp_path("resume");
         write_rounds(&path, 0..1);
-        let mut w = JournalWriter::open_append(&path, 4).unwrap();
+        let mut w = JournalWriter::open_append(&path, 4, file_len(&path)).unwrap();
         w.append(&arrival(7, 1.1, 3)).unwrap(); // uncommitted
         drop(w);
         let rec = recover_meta(&path).unwrap();
-        let mut w =
-            JournalWriter::open_append(&path, committed_events(&path, &rec).len() as u64).unwrap();
+        let events = committed_events(&path, &rec).len() as u64;
+        let mut w = JournalWriter::open_append(&path, events, rec.committed_bytes).unwrap();
         assert_eq!(w.events(), 4);
         for ev in round_events(1) {
             w.append(&ev).unwrap();
@@ -667,9 +709,36 @@ mod tests {
     fn committed_lines_match_event_rendering() {
         let path = temp_path("lines");
         let events = write_rounds(&path, 0..1);
-        let lines = committed_lines(&path).unwrap();
+        let lines = committed_prefix_lines(&path);
         let expect: Vec<String> = events.iter().map(JournalEvent::to_line).collect();
         assert_eq!(lines, expect);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The writer's committed length is the file's length at each sync:
+    /// appends past it count only once a sync commits them, and a writer
+    /// reopened on the recovered length continues the count.
+    #[test]
+    fn writer_counts_committed_bytes() {
+        let path = temp_path("bytes");
+        let mut w = JournalWriter::create(&path).unwrap();
+        for ev in round_events(0) {
+            w.append(&ev).unwrap();
+        }
+        assert_eq!(w.commit().bytes, 0, "nothing is committed before a sync");
+        w.sync().unwrap();
+        assert_eq!(w.commit().bytes, file_len(&path));
+        w.append(&arrival(2, 1.2, 0)).unwrap();
+        assert!(file_len(&path) > w.commit().bytes);
+        drop(w);
+        let meta = recover_meta(&path).unwrap();
+        let mut w = JournalWriter::open_append(&path, 4, meta.committed_bytes).unwrap();
+        for ev in round_events(1) {
+            w.append(&ev).unwrap();
+        }
+        w.sync().unwrap();
+        assert_eq!(w.commit().bytes, file_len(&path));
+        assert_eq!(w.commit().bytes, scan_meta(&path).unwrap().committed_bytes);
         std::fs::remove_file(&path).ok();
     }
 
@@ -718,7 +787,7 @@ mod tests {
         assert!(meta.snapshot_covers(&snap));
         assert_eq!(meta.replay_offset(&snap), meta.suffix_bytes);
         // The header renders as the first committed line.
-        let lines = committed_lines(&path).unwrap();
+        let lines = committed_prefix_lines(&path);
         assert!(
             lines[0].starts_with(r#"{"event":"compact""#),
             "{}",
@@ -727,7 +796,8 @@ mod tests {
         assert_eq!(lines.len(), 1 + 4);
 
         // Appending continues the logical numbering.
-        let mut w = JournalWriter::open_append(&path, meta.committed_events).unwrap();
+        let mut w =
+            JournalWriter::open_append(&path, meta.committed_events, meta.committed_bytes).unwrap();
         for ev in round_events(3) {
             w.append(&ev).unwrap();
         }
@@ -779,7 +849,7 @@ mod tests {
     fn compaction_preserves_the_uncommitted_tail() {
         let path = temp_path("compact-tail");
         write_rounds(&path, 0..2);
-        let mut w = JournalWriter::open_append(&path, 8).unwrap();
+        let mut w = JournalWriter::open_append(&path, 8, file_len(&path)).unwrap();
         w.append(&arrival(9, 2.2, 3)).unwrap(); // flushed, unsealed
         drop(w);
         compact(&path, &boundary_snapshot(1)).unwrap();

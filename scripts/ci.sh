@@ -207,10 +207,8 @@ awk -v r="$ratio" 'BEGIN {
 # re-drive after the crash re-sends exactly what the torn tail lost.
 smoke_dir=$(mktemp -d)
 serve_pid=""
-follower_pid=""
 cleanup_serve() {
   [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true
-  [ -n "$follower_pid" ] && kill "$follower_pid" 2>/dev/null || true
   rm -rf "$smoke_dir"
 }
 trap cleanup_serve EXIT
@@ -222,7 +220,7 @@ listen_addr() { # $1 = log file; prints the address it announces within 10 s
   done
 }
 start_server() { # $1 = journal dir, $2 = log file; sets serve_addr/serve_pid
-  LOVM_JOURNAL="$1" LOVM_SNAPSHOT_EVERY=2 LOVM_COMPACT="${compact_every:-0}" \
+  LOVM_JOURNAL="$1" LOVM_SNAPSHOT_EVERY=2 LOVM_COMPACT=0 \
     ./target/release/lovm serve --addr 127.0.0.1:0 --v 20 --budget 2 >"$2" 2>&1 &
   serve_pid=$!
   serve_addr=$(listen_addr "$2")
@@ -325,50 +323,11 @@ if ! diff -q <(grep '"event":"sealed"' "$smoke_dir/hostile.out") \
 fi
 echo "ci: hostile-input smoke ok (deep nesting and negative time refused, same process serves byte-identically)"
 
-# Kill-and-promote smoke for live replication: a leader serves with
-# journal compaction on, `lovm follow` replicates it into its own journal
-# directory, the leader is SIGKILLed mid-round (a round's arrivals
-# journaled but unsealed), the follower promotes itself to a server, and
-# re-driving against the promoted server must yield sealed/state lines
-# byte-identical to an uninterrupted reference run.
-compact_every=2
-start_server "$smoke_dir/repl-ref" "$smoke_dir/repl-ref.log"
-./target/release/lovm drive --addr "$serve_addr" --session repl \
-  --seed 7 --bidders 6 --from 0 --to 8 2>/dev/null >"$smoke_dir/repl-ref.out"
-stop_server TERM
-
-start_server "$smoke_dir/leader" "$smoke_dir/leader.log"
-LOVM_JOURNAL="$smoke_dir/replica" LOVM_SNAPSHOT_EVERY=2 LOVM_COMPACT=2 \
-  ./target/release/lovm follow --addr "$serve_addr" --session repl \
-  --serve-addr 127.0.0.1:0 --v 20 --budget 2 >"$smoke_dir/follow.log" 2>&1 &
-follower_pid=$!
-./target/release/lovm drive --addr "$serve_addr" --session repl \
-  --seed 7 --bidders 6 --from 0 --to 4 2>/dev/null >"$smoke_dir/p1.out"
-./target/release/lovm drive --addr "$serve_addr" --session repl \
-  --seed 7 --bidders 6 --from 4 --to 5 --partial 2>/dev/null >/dev/null
-stop_server KILL
-
-promoted_addr=$(listen_addr "$smoke_dir/follow.log")
-if [ -z "$promoted_addr" ]; then
-  echo "ci: FAIL — the follower did not promote itself after the leader died"
-  cat "$smoke_dir/follow.log"
-  exit 1
-fi
-./target/release/lovm drive --addr "$promoted_addr" --session repl \
-  --seed 7 --bidders 6 --from 0 --to 8 2>/dev/null >"$smoke_dir/p2.out"
-kill "$follower_pid" 2>/dev/null || true
-wait "$follower_pid" 2>/dev/null || true
-follower_pid=""
-
-same_as_reference "promoted follower" "$smoke_dir/repl-ref.out" "$smoke_dir/p1.out" "$smoke_dir/p2.out"
-echo "ci: follower kill-and-promote smoke ok (byte-identical after leader SIGKILL)"
-
 # Telemetry serve smoke: the same served session with LOVM_TELEMETRY on
 # must be a pure observer — the drive client's full output byte-identical
 # to the telemetry-off reference run above — while the server emits one
 # valid lovm.telemetry.round.v1 record per sealed round, and the live
 # `stats` wire command must feed a `lovm top` frame.
-compact_every=0
 telemetry_file="$smoke_dir/telemetry.jsonl"
 export LOVM_TELEMETRY="$telemetry_file"
 start_server "$smoke_dir/tel" "$smoke_dir/tel.log"

@@ -27,15 +27,16 @@
 //! (handshake chatter goes to stderr), making crash-recovery runs
 //! byte-diffable against uninterrupted ones.
 //!
-//! `follow` attaches a live replica to a serving leader: it bootstraps
-//! the session's committed journal verbatim into its own `LOVM_JOURNAL`
-//! directory (which must differ from the leader's), replays every
-//! streamed round through the same code path the leader ran — verifying
-//! each journaled digest bitwise — and, when the leader's connection
-//! drops, promotes itself to a `serve` on `--serve-addr` (without the
-//! flag it just exits). Journals are bounded on disk by setting
-//! `LOVM_COMPACT`: every that-many sealed rounds the prefix covered by
-//! the latest snapshot is compacted away.
+//! `follow` attaches a live replica to a serving leader: it copies the
+//! session's committed journal bytes (a `bootstrap` of `bytes` bytes)
+//! into its own `LOVM_JOURNAL` directory (which must differ from the
+//! leader's), replays every streamed round through the same code path
+//! the leader ran — verifying each journaled digest bitwise — installs
+//! the fresh bootstrap the leader sends after each compaction, and, when
+//! the leader's connection drops, promotes itself to a `serve` on
+//! `--serve-addr` (without the flag it just exits). Journals are bounded
+//! on disk by setting `LOVM_COMPACT`: every that-many sealed rounds the
+//! prefix covered by the latest snapshot is compacted away.
 
 use metrics::json::JsonValue;
 use simrng::{derive_seed, rngs::StdRng, RngExt, SeedableRng};
@@ -44,8 +45,8 @@ use std::net::TcpStream;
 use std::process::ExitCode;
 use sustainable_fl::core::offline::{competitive_ratio, offline_benchmark};
 use sustainable_fl::core::serve::{
-    compact_every_from_env, journal_dir_from_env, snapshot_every_from_env, MarketServer,
-    MarketSession, ServeConfig,
+    self, compact_every_from_env, journal_dir_from_env, snapshot_every_from_env, MarketServer,
+    ServeConfig,
 };
 use sustainable_fl::prelude::*;
 
@@ -422,95 +423,27 @@ fn run_server(cfg: ServeConfig) -> Result<(), String> {
 }
 
 /// Attaches a live replica to a serving leader (see the module docs):
-/// bootstrap the committed journal verbatim, replay the live feed
-/// through `MarketSession::apply_replicated` (each journaled digest
-/// verified bitwise), and on leader death promote to a full server on
+/// `serve::follow` keeps the replica, logging each commit point, and when
+/// the leader's feed ends the replica promotes to a full server on
 /// `--serve-addr`.
 fn follow(args: &Args) -> Result<(), String> {
     // The replica's session config is the one its promoted server will
     // open, so promotion replays the same files under the same settings.
     let cfg = serve_config(args, &args.serve_addr);
-    let session_cfg = cfg.session(&args.session);
     std::fs::create_dir_all(&cfg.journal_dir).map_err(|e| e.to_string())?;
     let stream =
         TcpStream::connect(&args.addr).map_err(|e| format!("connect {}: {e}", args.addr))?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut out = stream;
-    send_line(
-        &mut out,
-        JsonValue::object()
-            .field("cmd", "follow")
-            .field("session", args.session.as_str()),
-    )?;
-    let (boot_raw, boot) = read_event(&mut reader)?;
-    let backlog = boot
-        .get("lines")
-        .and_then(JsonValue::as_usize)
-        .ok_or_else(|| format!("malformed bootstrap `{boot_raw}`"))?;
-    eprintln!("{boot_raw}");
-
-    // The bootstrap *is* the leader's committed journal (compaction
-    // header included): write it verbatim so the replica journal starts
-    // byte-identical, then open it through the normal recovery path.
-    {
-        let mut file = std::fs::File::create(&session_cfg.journal).map_err(|e| e.to_string())?;
-        for _ in 0..backlog {
-            let line = read_line(&mut reader)?;
-            file.write_all(line.as_bytes())
-                .and_then(|()| file.write_all(b"\n"))
-                .map_err(|e| e.to_string())?;
-        }
-        file.sync_data().map_err(|e| e.to_string())?;
-    }
-    let (live_raw, live) = read_event(&mut reader)?;
-    if live.get("event").and_then(JsonValue::as_str) != Some("live") {
-        return Err(format!("expected the live marker, got `{live_raw}`"));
-    }
-
-    let mut session =
-        MarketSession::open(session_cfg).map_err(|e| format!("cannot open replica: {e}"))?;
-    eprintln!(
-        "replica live at round {} digest {:016x}",
-        session.rounds_sealed(),
-        session.digest()
-    );
-
-    // Every line from here on is a committed journal event; outcomes are
-    // the follower's commit points. EOF means the leader died.
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => return Err(format!("feed read: {e}")),
-        }
-        let line = line.trim_end_matches('\n');
-        if line.is_empty() {
-            continue;
-        }
-        let applied = session
-            .apply_replicated(line)
-            .map_err(|e| format!("replica diverged: {e}"))?;
-        if let Some((round, digest)) = applied {
-            eprintln!("replicated round {round} digest {digest:016x}");
-        }
-    }
-    drop((reader, out));
-
+    let log = |applied, s: &serve::MarketSession| {
+        let (rounds, digest) = (s.rounds_sealed(), s.digest());
+        eprintln!("{applied:?}: replica at {rounds} rounds, digest {digest:016x}");
+    };
+    serve::follow(stream, &args.session, &cfg.session(&args.session), log)
+        .map_err(|e| format!("replica: {e}"))?;
     if args.serve_addr.is_empty() {
-        eprintln!(
-            "leader gone at round {} digest {:016x}; exiting (no --serve-addr)",
-            session.rounds_sealed(),
-            session.digest()
-        );
+        eprintln!("leader gone; exiting (no --serve-addr)");
         return Ok(());
     }
-    eprintln!(
-        "leader gone at round {}; promoting on {}",
-        session.rounds_sealed(),
-        args.serve_addr
-    );
-    drop(session);
+    eprintln!("leader gone; promoting on {}", args.serve_addr);
     run_server(cfg)
 }
 
