@@ -30,17 +30,19 @@
 //!
 //! **Replication.** The journal file is the replication log. All a
 //! session shares with its followers is a mark: committed through byte B
-//! of journal file generation G, moved at each seal. A connection that
-//! says `follow` instead of `hello` becomes a feed that copies committed
-//! bytes from the file to its socket: a `bootstrap` line carrying `bytes`,
-//! those bytes, a `live` marker, then each range the mark moves past. A
-//! compaction renames a new file into place, so the feed runs the
-//! bootstrap again on the same connection. A follower ([`follow`], run by
-//! `lovm follow`) installs each bootstrap as its journal and replays each
-//! live line through the *same* `run_round` code path the leader ran,
-//! verifying every journaled digest bitwise — so when the leader dies the
-//! follower can be promoted to serve the session with state exact to the
-//! bit. Leader and follower agree because they are the same computation.
+//! of the journal file with identity G (its device and inode), moved at
+//! each seal. A connection that says `follow` instead of `hello` becomes a
+//! feed that copies committed bytes from the file to its socket: a
+//! `bootstrap` line carrying `bytes`, those bytes, a `live` marker, then
+//! each range the mark moves past. A compaction renames a new file into
+//! place, so the feed runs the bootstrap again on the same connection; a
+//! session reopened by a reconnecting client keeps its file. A follower
+//! ([`follow`], run by `lovm follow`) installs each bootstrap as its
+//! journal and replays each live line through the *same* `run_round` code
+//! path the leader ran, verifying every journaled digest bitwise — so when
+//! the leader dies the follower can be promoted to serve the session with
+//! state exact to the bit. Leader and follower agree because they are the
+//! same computation.
 //!
 //! Environment: `LOVM_JOURNAL` points the CLI at the journal directory,
 //! `LOVM_SNAPSHOT_EVERY` sets the snapshot cadence in sealed rounds and
@@ -768,9 +770,9 @@ impl ServeConfig {
 }
 
 /// Server-wide replication hub: each session's commit mark — its journal
-/// writer's [`Commit`], a new generation whenever the session reopens or
-/// compaction renames a new file into place — and the condvar that wakes
-/// follower feeds when a mark moves.
+/// writer's [`Commit`], whose file identity changes only when compaction
+/// renames a new file into place — and the condvar that wakes follower
+/// feeds when a mark moves.
 ///
 /// The hub mutex is also the server's *ordering* lock: seals, snapshot
 /// and compaction renames, session opens (truncating recovery), and a
@@ -1110,10 +1112,10 @@ const FEED_POLL: Duration = Duration::from_millis(200);
 
 /// Serves one follower connection: a bootstrap, then each byte range the
 /// session's mark moves past, copied from the file the bootstrap pinned.
-/// A new generation re-runs the bootstrap on the same connection. Every
-/// [`FEED_POLL`] without a move the follower's socket is polled: EOF or
-/// `quit` ends the feed, and any other line is answered `followers only
-/// listen`.
+/// A mark on another file re-runs the bootstrap on the same connection.
+/// Every [`FEED_POLL`] without a move the follower's socket is polled: EOF
+/// or `quit` ends the feed, and any other line is answered `followers
+/// only listen`.
 fn run_follower_feed(
     mut requests: Requests,
     mut out: BufWriter<TcpStream>,
@@ -1125,11 +1127,11 @@ fn run_follower_feed(
     let (mut file, mut seen) = send_bootstrap(&mut out, hub, &path, session)?;
     loop {
         match hub.wait_for_commit(session, seen) {
-            Some(mark) if mark.generation != seen.generation || mark.bytes < seen.bytes => {
+            Some(mark) if mark.file != seen.file => {
                 (file, seen) = send_bootstrap(&mut out, hub, &path, session)?;
             }
             Some(mark) => {
-                copy_journal(file.as_ref(), mark.bytes - seen.bytes, &mut out)?;
+                copy_journal(&file, mark.bytes - seen.bytes, &mut out)?;
                 seen = mark;
             }
             None => match requests.poll()? {
@@ -1145,23 +1147,24 @@ fn run_follower_feed(
 /// Sends `bootstrap`, the committed journal bytes and `live`. Under the
 /// hub lock it opens the journal, pinning the file, and reads the mark; a
 /// session no connection has opened has none, and a scan finds how much
-/// of its journal is committed. Returns the pinned file (none if there is
-/// no journal yet), read up to the mark, and the mark.
+/// of its journal is committed. A follower may come before the session's
+/// first `hello`: then the feed creates the empty journal `hello` would.
+/// Returns the pinned file, read up to the mark, and the mark.
 fn send_bootstrap(
     out: &mut BufWriter<TcpStream>,
     hub: &Hub,
     path: &Path,
     session: &str,
-) -> std::io::Result<(Option<File>, Commit)> {
+) -> std::io::Result<(File, Commit)> {
     let (file, mark) = {
         let marks = hub.lock();
-        let file = File::open(path).ok();
+        if !path.exists() {
+            JournalWriter::create(path)?;
+        }
+        let file = File::open(path)?;
         let mark = match marks.get(session) {
             Some(mark) => *mark,
-            None => Commit {
-                bytes: journal::scan_meta(path)?.committed_bytes,
-                generation: 0,
-            },
+            None => Commit::of(&file, journal::scan_meta(path)?.committed_bytes)?,
         };
         (file, mark)
     };
@@ -1170,7 +1173,7 @@ fn send_bootstrap(
         .field("session", session)
         .field("bytes", mark.bytes);
     respond(out, head)?;
-    copy_journal(file.as_ref(), mark.bytes, out)?;
+    copy_journal(&file, mark.bytes, out)?;
     respond(out, JsonValue::object().field("event", "live"))?;
     out.flush()?;
     Ok((file, mark))
@@ -1178,8 +1181,8 @@ fn send_bootstrap(
 
 /// Copies the next `len` bytes of a pinned journal file to a feed, outside
 /// the hub lock: committed bytes of a file never change.
-fn copy_journal(file: Option<&File>, len: u64, out: &mut impl Write) -> std::io::Result<()> {
-    if file.map_or(Ok(0), |file| std::io::copy(&mut file.take(len), out))? < len {
+fn copy_journal(file: &File, len: u64, out: &mut impl Write) -> std::io::Result<()> {
+    if std::io::copy(&mut file.take(len), out)? < len {
         return Err(ErrorKind::UnexpectedEof.into());
     }
     Ok(())
@@ -1194,21 +1197,17 @@ pub enum Replicated {
     Round,
 }
 
-/// Longest live feed line a follower reads. A seal or outcome line holds
-/// one entry per sealed bid or award, and an entry renders in at most
-/// 1 KiB: four numbers of at most 327 characters (an `f64` prints every
-/// digit), plus keys. Under `Backpressure::Shed` a round seals at most
-/// its own buffered arrivals plus those deferred from the round before;
-/// four more entries' worth covers the line's own fields. Under `Block`,
-/// arrivals parked past a full buffer join a later round, which can then
-/// seal more than this cap allows.
-fn feed_line_cap(ingest: &IngestConfig) -> usize {
+/// Longest feed line a follower reads, given the most bids its replica
+/// has held at once. A round seals only bids its collector holds, queued,
+/// parked or deferred, under either backpressure; so a seal line holds at
+/// most that many entries, its outcome line at most as many awards, and an
+/// arrival line one bid. An entry renders in at most 1 KiB: four numbers
+/// of at most 327 characters (an `f64` prints every digit), plus keys;
+/// four more entries' worth covers a line's own fields, `bootstrap` and
+/// `live`.
+fn feed_line_cap(held: usize) -> usize {
     const ENTRY_BYTES: usize = 1 << 10;
-    ingest
-        .capacity
-        .saturating_mul(2)
-        .saturating_add(4)
-        .saturating_mul(ENTRY_BYTES)
+    held.saturating_add(4).saturating_mul(ENTRY_BYTES)
 }
 
 /// Keeps a live replica of session `name` from the leader feed it
@@ -1219,8 +1218,8 @@ fn feed_line_cap(ingest: &IngestConfig) -> usize {
 ///
 /// # Errors
 ///
-/// I/O errors, and `InvalidData` for a feed line longer than the session's
-/// ingest limits allow, a line out of place, or a replay that diverges.
+/// I/O errors, and `InvalidData` for a feed line longer than the bids the
+/// replica holds allow, a line out of place, or a replay that diverges.
 pub fn follow(
     stream: TcpStream,
     name: &str,
@@ -1231,10 +1230,13 @@ pub fn follow(
         .field("cmd", "follow")
         .field("session", name);
     respond(&mut &stream, request)?;
-    let cap = feed_line_cap(&cfg.ingest);
     let mut feed = BufReader::new(stream);
-    let (mut line, mut replica) = (Vec::new(), None);
+    let (mut line, mut replica, mut held) = (Vec::new(), None::<MarketSession>, 0);
     loop {
+        if let Some(session) = &replica {
+            held = held.max(session.collector.outstanding());
+        }
+        let cap = feed_line_cap(held);
         line.clear();
         match read_framed(&mut feed, &mut line, cap)? {
             Framed::Line => {}
@@ -2153,20 +2155,11 @@ mod tests {
         leader_cfg.lovm = session_cfg(&dir, 2).lovm;
         let mut replica_cfg = leader_cfg.clone();
         replica_cfg.journal_dir = temp_dir("tcp-follow-compact-replica");
-        let replica_session = replica_cfg.session("omega");
         let addr = serve(leader_cfg);
 
         let (mut out, mut reader) = connect(addr);
         drive_round_zero(&mut out, &mut reader, "omega");
-        let stream = TcpStream::connect(addr).unwrap();
-        let feed = stream.try_clone().unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let follower = std::thread::spawn(move || {
-            follow(stream, "omega", &replica_session, |applied, s| {
-                let state = (s.rounds_sealed(), s.digest(), s.backlog().to_bits());
-                tx.send((applied, state)).unwrap();
-            })
-        });
+        let (feed, rx, follower) = spawn_follower(addr, "omega", replica_cfg.session("omega"));
 
         let mut rebootstraps = 0;
         let mut last = (0, 0, 0);
@@ -2176,14 +2169,7 @@ mod tests {
                 read_event(&mut reader);
             }
             send(&mut out, r#"{"cmd":"seal"}"#);
-            let sealed = read_event(&mut reader);
-            let digest = sealed.get("digest").unwrap().as_str().unwrap();
-            let backlog = sealed.get("backlog").unwrap().as_f64().unwrap();
-            last = (
-                r + 1,
-                journal::u64_from_hex(digest).unwrap(),
-                backlog.to_bits(),
-            );
+            last = sealed_state(&read_event(&mut reader));
             // Wait until the replica holds this round.
             loop {
                 let (applied, state) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
@@ -2222,6 +2208,132 @@ mod tests {
         std::fs::remove_dir_all(&replica_cfg.journal_dir).ok();
     }
 
+    /// A replica's rounds, digest and backlog bits.
+    type ReplicaState = (usize, u64, u64);
+
+    /// The replica state a leader's `sealed` response implies.
+    fn sealed_state(sealed: &JsonValue) -> ReplicaState {
+        let round = sealed.get("round").unwrap().as_usize().unwrap();
+        let digest = sealed.get("digest").unwrap().as_str().unwrap();
+        let backlog = sealed.get("backlog").unwrap().as_f64().unwrap();
+        let digest = journal::u64_from_hex(digest).unwrap();
+        (round + 1, digest, backlog.to_bits())
+    }
+
+    /// Follows session `name` at `addr` into `cfg` on its own thread,
+    /// sending each commit point it applies on the returned channel.
+    /// Shutting the returned stream down ends the feed.
+    fn spawn_follower(
+        addr: SocketAddr,
+        name: &'static str,
+        cfg: SessionConfig,
+    ) -> (
+        TcpStream,
+        std::sync::mpsc::Receiver<(Replicated, ReplicaState)>,
+        std::thread::JoinHandle<std::io::Result<()>>,
+    ) {
+        let stream = TcpStream::connect(addr).unwrap();
+        let feed = stream.try_clone().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let follower = std::thread::spawn(move || {
+            follow(stream, name, &cfg, |applied, s| {
+                let state = (s.rounds_sealed(), s.digest(), s.backlog().to_bits());
+                tx.send((applied, state)).unwrap();
+            })
+        });
+        (feed, rx, follower)
+    }
+
+    /// Opens `session` on a new connection, retrying while the server
+    /// still releases the claim of the connection that closed it.
+    fn hello(addr: SocketAddr, session: &str) -> (TcpStream, BufReader<TcpStream>) {
+        for _ in 0..500 {
+            let (mut out, mut reader) = connect(addr);
+            send(
+                &mut out,
+                &format!(r#"{{"cmd":"hello","session":"{session}"}}"#),
+            );
+            if event_of(&read_event(&mut reader)) == "welcome" {
+                return (out, reader);
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("session `{session}` was never released");
+    }
+
+    /// A client reconnect reopens the session on the same journal file,
+    /// which recovery truncates in place, so a follower attached across
+    /// reconnects is bootstrapped once and then sent only new rounds. It
+    /// attaches before the session's first `hello`, which finds the
+    /// journal the feed created.
+    #[test]
+    fn tcp_follower_bootstraps_once_across_client_reconnects() {
+        let (addr, dir) = start_server("tcp-follow-reconnect");
+        let replica = ServeConfig::new("", temp_dir("tcp-follow-reconnect-replica"));
+        let (feed, rx, follower) = spawn_follower(addr, "rho", replica.session("rho"));
+        let mut applied = vec![rx.recv_timeout(Duration::from_secs(30)).unwrap()];
+        let mut sealed = vec![(0, Digest::new().value(), 0.0f64.to_bits())];
+        for r in 0..4 {
+            let (mut out, mut reader) = hello(addr, "rho");
+            for (at, bid) in offers_for_round(r) {
+                send(&mut out, &bid_line(at, bid));
+                read_event(&mut reader);
+            }
+            send(&mut out, r#"{"cmd":"seal"}"#);
+            sealed.push(sealed_state(&read_event(&mut reader)));
+            // An arrival left unsealed, which the next reopen truncates.
+            let (at, bid) = offers_for_round(r + 1)[0];
+            send(&mut out, &bid_line(at, bid));
+            read_event(&mut reader);
+            drop((out, reader));
+            applied.push(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+        }
+        feed.shutdown(std::net::Shutdown::Both).unwrap();
+        follower.join().unwrap().unwrap();
+        applied.extend(rx.try_iter());
+        let (kinds, states): (Vec<_>, Vec<_>) = applied.into_iter().unzip();
+        assert_eq!(kinds[0], Replicated::Bootstrap);
+        assert_eq!(kinds[1..], [Replicated::Round; 4], "no second bootstrap");
+        assert_eq!(states, sealed);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&replica.journal_dir).ok();
+    }
+
+    /// Under the default `Backpressure::Block`, arrivals past a full
+    /// buffer are parked and sealed in the next round, so a round can seal
+    /// far more bids than the buffer holds. The follower's line cap
+    /// follows the bids its replica holds, so it replicates such a round.
+    #[test]
+    fn tcp_follower_replicates_a_blocked_burst_past_capacity() {
+        let dir = temp_dir("tcp-follow-burst");
+        let mut cfg = ServeConfig::new("127.0.0.1:0", &dir);
+        cfg.ingest.capacity = 4;
+        cfg.lovm = session_cfg(&dir, 2).lovm;
+        let mut replica = cfg.clone();
+        replica.journal_dir = temp_dir("tcp-follow-burst-replica");
+        let addr = serve(cfg);
+        let (feed, rx, follower) = spawn_follower(addr, "burst", replica.session("burst"));
+        let (mut out, mut reader) = hello(addr, "burst");
+        for i in 0..300 {
+            let bid = Bid::new(i, 0.6 + (i % 11) as f64 * 0.21, 80 + i, 0.6);
+            send(&mut out, &bid_line((i as f64 + 0.5) / 300.0, bid));
+            read_event(&mut reader);
+        }
+        let mut sealed = Vec::new();
+        for _ in 0..2 {
+            send(&mut out, r#"{"cmd":"seal"}"#);
+            sealed.push(read_event(&mut reader));
+        }
+        assert_eq!(sealed[1].get("sealed").unwrap().as_usize(), Some(296));
+        let (_, state) = rx.iter().find(|(_, state)| state.0 == 2).unwrap();
+        assert_eq!(state, sealed_state(&sealed[1]));
+        feed.shutdown(std::net::Shutdown::Both).unwrap();
+        follower.join().unwrap().unwrap();
+        drop((out, reader));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&replica.journal_dir).ok();
+    }
+
     /// A leader for one follower: it checks the `follow` request for
     /// session `market`, sends `feed`, then (with `endless`) one line that
     /// never ends, until the follower hangs up, and closes.
@@ -2247,9 +2359,9 @@ mod tests {
         format!("{{\"event\":\"bootstrap\",\"session\":\"market\",\"bytes\":{bytes}}}\n")
     }
 
-    /// A follower frames live lines with a cap from the session's ingest
-    /// capacity: a leader that sends a valid bootstrap and then a line
-    /// that never ends gets a named error, not a follower that reads on.
+    /// A follower frames feed lines with a cap from the bids its replica
+    /// holds: a leader that sends a valid bootstrap and then a line that
+    /// never ends gets a named error, not a follower that reads on.
     #[test]
     fn follower_refuses_an_endless_feed_line() {
         let leader_dir = temp_dir("endless-leader");
@@ -2260,16 +2372,16 @@ mod tests {
         let (addr, fake_leader) = fake_leader(feed, true);
 
         let follower_dir = temp_dir("endless-follower");
-        let mut cfg = session_cfg(&follower_dir, 2);
-        cfg.ingest.capacity = 8;
-        let mut rounds = None;
+        let cfg = session_cfg(&follower_dir, 2);
+        let mut installed = None;
         let err = follow(TcpStream::connect(addr).unwrap(), "market", &cfg, |_, s| {
-            rounds = Some(s.rounds_sealed())
+            installed = Some((s.rounds_sealed(), s.collector.outstanding()))
         })
         .unwrap_err();
-        assert_eq!(rounds, Some(1), "the bootstrap was installed");
+        let (rounds, held) = installed.expect("the bootstrap was installed");
+        assert_eq!(rounds, 1);
         assert_eq!(err.kind(), ErrorKind::InvalidData);
-        let cap = feed_line_cap(&cfg.ingest);
+        let cap = feed_line_cap(held);
         assert!(
             err.to_string()
                 .contains(&format!("feed line longer than {cap} bytes")),

@@ -32,7 +32,6 @@ use metrics::json::JsonValue;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fsyncs the parent directory of `path` (best effort): makes a just
 /// created or just renamed directory entry durable. Some filesystems
@@ -49,25 +48,26 @@ pub fn fsync_parent_dir(path: &Path) {
 }
 
 /// How far a journal file is committed: through byte `bytes` of the file
-/// named by `generation`. Each [`JournalWriter`] draws its generation from
-/// a process-wide counter when it opens its file, so a generation is
-/// never reused, and a reader holding a file open can tell from it whether
-/// the writer still appends to that file.
+/// whose identity is `file`, its (device, inode). Recovery truncates a
+/// journal in place and keeps its identity; a compaction renames a new file
+/// into place and changes it. A reader holding the old file open keeps its
+/// inode from being reused, so it can tell from `file` whether the writer
+/// still appends to the file it holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Commit {
     /// The file's length at the writer's last sync (or at open).
     pub bytes: u64,
-    /// The writer's file generation; 0 is never drawn.
-    pub generation: u64,
+    /// The file's (device, inode).
+    pub file: (u64, u64),
 }
 
 impl Commit {
-    /// `bytes` committed in a file a new writer just opened.
-    fn opened(bytes: u64) -> Commit {
-        // Relaxed: the counter publishes no other data.
-        static GENERATIONS: AtomicU64 = AtomicU64::new(1);
-        let generation = GENERATIONS.fetch_add(1, Ordering::Relaxed);
-        Commit { bytes, generation }
+    /// `bytes` committed in the open `file`.
+    pub fn of(file: &File, bytes: u64) -> std::io::Result<Commit> {
+        use std::os::unix::fs::MetadataExt;
+        let meta = file.metadata()?;
+        let file = (meta.dev(), meta.ino());
+        Ok(Commit { bytes, file })
     }
 }
 
@@ -92,11 +92,11 @@ impl JournalWriter {
         file.sync_all()?;
         fsync_parent_dir(&path);
         Ok(JournalWriter {
+            commit: Commit::of(&file, 0)?,
             file: BufWriter::new(file),
             path,
             events: 0,
             bytes: 0,
-            commit: Commit::opened(0),
         })
     }
 
@@ -114,11 +114,11 @@ impl JournalWriter {
         let path = path.into();
         let file = OpenOptions::new().append(true).open(&path)?;
         Ok(JournalWriter {
+            commit: Commit::of(&file, recovered_bytes)?,
             file: BufWriter::new(file),
             path,
             events: recovered_events,
             bytes: recovered_bytes,
-            commit: Commit::opened(recovered_bytes),
         })
     }
 
@@ -717,11 +717,13 @@ mod tests {
 
     /// The writer's committed length is the file's length at each sync:
     /// appends past it count only once a sync commits them, and a writer
-    /// reopened on the recovered length continues the count.
+    /// reopened on the recovered length continues the count in the same
+    /// file, which recovery truncated in place.
     #[test]
     fn writer_counts_committed_bytes() {
         let path = temp_path("bytes");
         let mut w = JournalWriter::create(&path).unwrap();
+        let file = w.commit().file;
         for ev in round_events(0) {
             w.append(&ev).unwrap();
         }
@@ -733,6 +735,7 @@ mod tests {
         drop(w);
         let meta = recover_meta(&path).unwrap();
         let mut w = JournalWriter::open_append(&path, 4, meta.committed_bytes).unwrap();
+        assert_eq!(w.commit().file, file, "recovery keeps the file");
         for ev in round_events(1) {
             w.append(&ev).unwrap();
         }
@@ -765,10 +768,16 @@ mod tests {
         let all = write_rounds(&path, 0..3);
         let snap = boundary_snapshot(2);
         let before = std::fs::metadata(&path).unwrap().len();
+        let pinned = File::open(&path).unwrap();
         let stats = compact(&path, &snap).unwrap();
         assert_eq!(stats.dropped_events, 8);
         assert_eq!(stats.bytes_before, before);
         assert!(stats.bytes_after < before);
+        assert_ne!(
+            Commit::of(&File::open(&path).unwrap(), 0).unwrap(),
+            Commit::of(&pinned, 0).unwrap(),
+            "compaction renames a new file into place"
+        );
 
         let rec = scan_meta(&path).unwrap();
         assert_eq!(rec.base, Some(snap.clone()));
