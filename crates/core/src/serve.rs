@@ -23,26 +23,24 @@
 //! reads a request line, decides it and answers on that same thread (a
 //! disconnected peer is a graceful stop, never a panic). Responses are
 //! buffered and flushed once per burst — when no complete request is
-//! waiting, and around every request that takes the hub lock — and
-//! sockets run with `TCP_NODELAY`, so a flush is one deliberate send
-//! that no delayed ACK holds back. Many sessions run concurrently, each
-//! with its own journal file keyed by the client-chosen session name.
+//! waiting, and around every `hello`, `follow` and `seal` — and sockets
+//! run with `TCP_NODELAY`, so a flush is one deliberate send that no
+//! delayed ACK holds back. Many sessions run concurrently, each with its
+//! own journal file keyed by the client-chosen session name, and none
+//! waits on another's open or seal (see `Hub`).
 //!
 //! **Replication.** The journal file is the replication log. All a
 //! session shares with its followers is a mark: committed through byte B
-//! of the journal file with identity G (its device and inode), moved at
-//! each seal. A connection that says `follow` instead of `hello` becomes a
-//! feed that copies committed bytes from the file to its socket: a
-//! `bootstrap` line carrying `bytes`, those bytes, a `live` marker, then
-//! each range the mark moves past. A compaction renames a new file into
-//! place, so the feed runs the bootstrap again on the same connection; a
-//! session reopened by a reconnecting client keeps its file. A follower
-//! ([`follow`], run by `lovm follow`) installs each bootstrap as its
-//! journal and replays each live line through the *same* `run_round` code
-//! path the leader ran, verifying every journaled digest bitwise — so when
-//! the leader dies the follower can be promoted to serve the session with
-//! state exact to the bit. Leader and follower agree because they are the
-//! same computation.
+//! of the journal file with identity G (its device and inode), published
+//! after each open and seal. A connection that says `follow` becomes a
+//! feed that opens the file and, once the mark names it, copies committed
+//! bytes to its socket: a `bootstrap` line carrying `bytes`, those bytes,
+//! a `live` marker, then each range the mark moves past. A compaction
+//! renames a new file into place, so the feed bootstraps again on the same
+//! connection. A follower ([`follow`], run by `lovm follow`) installs each
+//! bootstrap as its journal and replays each live line through the *same*
+//! `run_round` code path the leader ran, verifying every journaled digest
+//! bitwise, so it can be promoted with state exact to the bit.
 //!
 //! Environment: `LOVM_JOURNAL` points the CLI at the journal directory,
 //! `LOVM_SNAPSHOT_EVERY` sets the snapshot cadence in sealed rounds and
@@ -57,7 +55,7 @@ use ingest::stats::{IngestStats, StreamTotals};
 use ingest::{Admission, CollectedRound, IngestConfig, RoundCollector};
 use journal::{Commit, Digest, JournalEvent, JournalWriter, Snapshot};
 use metrics::json::JsonValue;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -769,38 +767,56 @@ impl ServeConfig {
     }
 }
 
-/// Server-wide replication hub: each session's commit mark — its journal
-/// writer's [`Commit`], whose file identity changes only when compaction
-/// renames a new file into place — and the condvar that wakes follower
-/// feeds when a mark moves.
+/// Server-wide session table: a row for each session a connection serves,
+/// with the mark its open and seals publish (its journal writer's
+/// [`Commit`]), and the condvar that wakes follower feeds when one moves.
 ///
-/// The hub mutex is also the server's *ordering* lock: seals, snapshot
-/// and compaction renames, session opens (truncating recovery), and a
-/// feed's opening of a journal file all happen while holding it — so the
-/// file a feed opens is always the one the mark it reads describes.
+/// The lock guards the table and nothing else: opens, seals, snapshots
+/// and compactions run without it. A session's claim orders its own
+/// writes, since only the connection holding it touches its files. A feed
+/// copies from the file it opened only once the mark names that file.
 #[derive(Debug, Default)]
 struct Hub {
-    marks: Mutex<HashMap<String, Commit>>,
+    marks: Mutex<HashMap<String, Option<Commit>>>,
     moved: Condvar,
 }
 
 impl Hub {
-    /// Takes the hub lock. A panic under it cannot leave a mark half
+    /// Takes the hub lock. A panic under it cannot leave a row half
     /// written, so a poisoned lock is taken as it is.
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, Commit>> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Option<Commit>>> {
         self.marks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims session `name` for one connection, adding its row: false
+    /// when another connection serves it.
+    fn claim(&self, name: &str) -> bool {
+        let mut marks = self.lock();
+        !marks.contains_key(name) && marks.insert(name.to_string(), None).is_none()
+    }
+
+    /// Frees session `name` for the next `hello`, dropping its row.
+    fn release(&self, name: &str) {
+        self.lock().remove(name);
+    }
+
+    /// Publishes session `name`'s mark and wakes its feeds.
+    fn publish(&self, name: &str, mark: Commit) {
+        self.lock().insert(name.to_string(), Some(mark));
+        self.moved.notify_all();
     }
 
     /// Waits up to [`FEED_POLL`] for session `name`'s mark to differ
     /// from `seen`; returns the new mark, or `None` when it did not move.
     fn wait_for_commit(&self, name: &str, seen: Commit) -> Option<Commit> {
-        let unmoved =
-            |marks: &mut HashMap<String, Commit>| marks.get(name).is_none_or(|m| *m == seen);
+        let mark = |marks: &HashMap<String, Option<Commit>>| marks.get(name).copied().flatten();
         let (marks, _) = self
             .moved
-            .wait_timeout_while(self.lock(), FEED_POLL, unmoved)
+            .wait_timeout_while(self.lock(), FEED_POLL, |marks| {
+                mark(marks).is_none_or(|m| m == seen)
+            })
             .unwrap_or_else(PoisonError::into_inner);
-        marks.get(name).copied().filter(|m| *m != seen)
+        mark(&marks).filter(|m| *m != seen)
     }
 }
 
@@ -809,7 +825,6 @@ impl Hub {
 pub struct MarketServer {
     listener: TcpListener,
     cfg: ServeConfig,
-    active: Arc<Mutex<HashSet<String>>>,
     hub: Arc<Hub>,
 }
 
@@ -820,16 +835,16 @@ struct OpenSession {
     claim: SessionClaim,
 }
 
-/// Releases a claimed session name when the connection ends, however it
-/// ends.
+/// A connection's claim on a session name, released when the connection
+/// ends, however it ends.
 struct SessionClaim {
     name: String,
-    active: Arc<Mutex<HashSet<String>>>,
+    hub: Arc<Hub>,
 }
 
 impl Drop for SessionClaim {
     fn drop(&mut self) {
-        self.active.lock().unwrap().remove(&self.name);
+        self.hub.release(&self.name);
     }
 }
 
@@ -841,7 +856,6 @@ impl MarketServer {
         Ok(MarketServer {
             listener,
             cfg,
-            active: Arc::new(Mutex::new(HashSet::new())),
             hub: Arc::default(),
         })
     }
@@ -859,11 +873,10 @@ impl MarketServer {
         for stream in self.listener.incoming() {
             let Ok(stream) = stream else { continue };
             let cfg = self.cfg.clone();
-            let active = Arc::clone(&self.active);
             let hub = Arc::clone(&self.hub);
             std::thread::spawn(move || {
                 // A dropped peer is a normal way for a connection to end.
-                let _ = handle_connection(stream, &cfg, active, &hub);
+                let _ = handle_connection(stream, &cfg, &hub);
             });
         }
         Ok(())
@@ -982,16 +995,11 @@ impl Requests {
 /// from then on the same loop serves its bids, seals and queries.
 ///
 /// Responses are buffered and flushed once per burst: when no complete
-/// request line is waiting, before the read blocks. A request that takes
-/// the hub lock (`hello`, `follow`, `seal`) is flushed around as well, so
-/// the acks before it do not wait out a seal, and its own answer leaves
+/// request line is waiting, before the read blocks. A request that touches
+/// the journal file (`hello`, `follow`, `seal`) is flushed around as well,
+/// so the acks before it do not wait out a seal, and its own answer leaves
 /// at once.
-fn handle_connection(
-    stream: TcpStream,
-    cfg: &ServeConfig,
-    active: Arc<Mutex<HashSet<String>>>,
-    hub: &Hub,
-) -> std::io::Result<()> {
+fn handle_connection(stream: TcpStream, cfg: &ServeConfig, hub: &Arc<Hub>) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut requests = Requests::new(stream.try_clone()?);
     let mut out = BufWriter::new(stream);
@@ -1006,11 +1014,11 @@ fn handle_connection(
             // The peer is gone: quit like a polite client.
             Line::End => break,
         };
-        let takes_hub = matches!(
+        let flush_around = matches!(
             request,
             Ok(Request::Hello { .. } | Request::Follow { .. } | Request::Seal)
         );
-        if takes_hub {
+        if flush_around {
             out.flush()?;
         }
         let response = match (request, open.as_mut()) {
@@ -1025,21 +1033,19 @@ fn handle_connection(
             (Ok(Request::Follow { session }), None) => {
                 return run_follower_feed(requests, out, cfg, hub, &session);
             }
-            (Ok(Request::Hello { session }), None) => {
-                match open_session(cfg, &active, hub, session) {
-                    Ok(opened) => {
-                        let o = open.insert(opened);
-                        let head = JsonValue::object()
-                            .field("event", "welcome")
-                            .field("session", o.claim.name.as_str());
-                        session_summary(head, &o.session, false)
-                    }
-                    Err(refusal) => {
-                        respond(&mut out, error_response(&refusal))?;
-                        return out.flush();
-                    }
+            (Ok(Request::Hello { session }), None) => match open_session(cfg, hub, session) {
+                Ok(opened) => {
+                    let o = open.insert(opened);
+                    let head = JsonValue::object()
+                        .field("event", "welcome")
+                        .field("session", o.claim.name.as_str());
+                    session_summary(head, &o.session, false)
                 }
-            }
+                Err(refusal) => {
+                    respond(&mut out, error_response(&refusal))?;
+                    return out.flush();
+                }
+            },
             (Ok(_), None) => error_response("say hello first"),
             (Ok(Request::Bid { at, bid }), Some(o)) => {
                 let (seq, admission) = o.session.offer(at, bid)?;
@@ -1049,15 +1055,8 @@ fn handle_connection(
                     .field("admission", admission_name(admission))
             }
             (Ok(Request::Seal), Some(o)) => {
-                // Seal and mark under the hub lock, so a feed opening the
-                // journal reads the mark of the file it opened.
-                let sealed = {
-                    let mut marks = hub.lock();
-                    let sealed = o.session.seal()?;
-                    marks.insert(o.claim.name.clone(), o.session.writer.commit());
-                    sealed
-                };
-                hub.moved.notify_all();
+                let sealed = o.session.seal()?;
+                hub.publish(&o.claim.name, o.session.writer.commit());
                 sealed_response(&sealed)
             }
             (Ok(Request::State), Some(o)) => session_summary(
@@ -1067,7 +1066,7 @@ fn handle_connection(
             ),
         };
         respond(&mut out, response)?;
-        if takes_hub {
+        if flush_around {
             out.flush()?;
         }
     }
@@ -1077,45 +1076,30 @@ fn handle_connection(
 
 /// Claims session `name` for this connection and opens it, or says why
 /// not: another connection serves it, or its journal does not recover.
-fn open_session(
-    cfg: &ServeConfig,
-    active: &Arc<Mutex<HashSet<String>>>,
-    hub: &Hub,
-    name: String,
-) -> Result<OpenSession, String> {
-    if !active.lock().unwrap().insert(name.clone()) {
+fn open_session(cfg: &ServeConfig, hub: &Arc<Hub>, name: String) -> Result<OpenSession, String> {
+    if !hub.claim(&name) {
         return Err(format!("session `{name}` is already being served"));
     }
     let claim = SessionClaim {
-        name,
-        active: Arc::clone(active),
+        name: name.clone(),
+        hub: Arc::clone(hub),
     };
-    // Open under the hub lock: recovery truncates the journal's torn
-    // tail, which must not race a feed opening the file.
-    let opened = {
-        let mut marks = hub.lock();
-        let opened = MarketSession::open(cfg.session(&claim.name));
-        if let Ok(session) = &opened {
-            marks.insert(claim.name.clone(), session.writer.commit());
-        }
-        opened
-    };
-    hub.moved.notify_all();
-    match opened {
-        Ok(session) => Ok(OpenSession { session, claim }),
-        Err(e) => Err(format!("cannot open session `{}`: {e}", claim.name)),
-    }
+    // Recovery may truncate the journal's uncommitted tail; a feed copies
+    // only committed bytes, which it leaves alone.
+    let session = MarketSession::open(cfg.session(&name))
+        .map_err(|e| format!("cannot open session `{name}`: {e}"))?;
+    hub.publish(&name, session.writer.commit());
+    Ok(OpenSession { session, claim })
 }
 
 /// How often an idle feed polls its follower's socket.
 const FEED_POLL: Duration = Duration::from_millis(200);
 
 /// Serves one follower connection: a bootstrap, then each byte range the
-/// session's mark moves past, copied from the file the bootstrap pinned.
-/// A mark on another file re-runs the bootstrap on the same connection.
-/// Every [`FEED_POLL`] without a move the follower's socket is polled: EOF
-/// or `quit` ends the feed, and any other line is answered `followers
-/// only listen`.
+/// session's mark moves past, copied from the file the bootstrap pinned;
+/// a mark on another file bootstraps again. Every [`FEED_POLL`] without a
+/// move polls the follower's socket: EOF or `quit` ends the feed, and any
+/// other line is answered `followers only listen`.
 fn run_follower_feed(
     mut requests: Requests,
     mut out: BufWriter<TcpStream>,
@@ -1127,60 +1111,73 @@ fn run_follower_feed(
     let (mut file, mut seen) = send_bootstrap(&mut out, hub, &path, session)?;
     loop {
         match hub.wait_for_commit(session, seen) {
-            Some(mark) if mark.file != seen.file => {
-                (file, seen) = send_bootstrap(&mut out, hub, &path, session)?;
-            }
-            Some(mark) => {
-                copy_journal(&file, mark.bytes - seen.bytes, &mut out)?;
-                seen = mark;
-            }
+            Some(mark) => match &file {
+                Some(pinned) if mark.file == seen.file => {
+                    copy_journal(pinned, mark.bytes - seen.bytes, &mut out)?;
+                    seen = mark;
+                }
+                _ => (file, seen) = send_bootstrap(&mut out, hub, &path, session)?,
+            },
             None => match requests.poll()? {
                 Line::Request(Ok(Request::Quit)) | Line::End => return Ok(()),
                 Line::Request(_) => respond(&mut out, error_response("followers only listen"))?,
-                Line::Skip => continue,
+                // An unpinned feed tries again.
+                Line::Skip if file.is_none() => {
+                    (file, seen) = send_bootstrap(&mut out, hub, &path, session)?;
+                }
+                Line::Skip => {}
             },
         }
         out.flush()?;
     }
 }
 
-/// Sends `bootstrap`, the committed journal bytes and `live`. Under the
-/// hub lock it opens the journal, pinning the file, and reads the mark; a
-/// session no connection has opened has none, and a scan finds how much
-/// of its journal is committed. A follower may come before the session's
-/// first `hello`: then the feed creates the empty journal `hello` would.
-/// Returns the pinned file, read up to the mark, and the mark.
+/// Opens session `name`'s journal at `path`, creating it empty if missing
+/// (never truncating one a concurrent `hello` just made), and reads its
+/// mark. Returns the file if the mark names it, else `None`: a
+/// compaction's rename and the publish of its mark fell either side of
+/// the open. A session without a mark is not sealing or compacting, so a
+/// scan finds its committed length; the guard lives through the `match`,
+/// so the session's first publish waits for the scan.
+fn pin_journal(hub: &Hub, path: &Path, name: &str) -> std::io::Result<(Option<File>, Commit)> {
+    if !path.exists() {
+        File::options().append(true).create(true).open(path)?;
+        journal::fsync_parent_dir(path);
+    }
+    let file = File::open(path)?;
+    let mark = match hub.lock().get(name).copied().flatten() {
+        Some(mark) => mark,
+        None => Commit::of(&file, journal::scan_meta(path)?.committed_bytes)?,
+    };
+    let pinned = Commit::of(&file, mark.bytes)? == mark;
+    Ok((pinned.then_some(file), mark))
+}
+
+/// Pins the journal (see [`pin_journal`]) and, when the mark names the
+/// pinned file, sends `bootstrap`, the committed bytes and `live`. Returns
+/// the pinned file, read up to the mark, and the mark.
 fn send_bootstrap(
-    out: &mut BufWriter<TcpStream>,
+    out: &mut impl Write,
     hub: &Hub,
     path: &Path,
     session: &str,
-) -> std::io::Result<(File, Commit)> {
-    let (file, mark) = {
-        let marks = hub.lock();
-        if !path.exists() {
-            JournalWriter::create(path)?;
-        }
-        let file = File::open(path)?;
-        let mark = match marks.get(session) {
-            Some(mark) => *mark,
-            None => Commit::of(&file, journal::scan_meta(path)?.committed_bytes)?,
-        };
-        (file, mark)
-    };
-    let head = JsonValue::object()
-        .field("event", "bootstrap")
-        .field("session", session)
-        .field("bytes", mark.bytes);
-    respond(out, head)?;
-    copy_journal(&file, mark.bytes, out)?;
-    respond(out, JsonValue::object().field("event", "live"))?;
-    out.flush()?;
+) -> std::io::Result<(Option<File>, Commit)> {
+    let (file, mark) = pin_journal(hub, path, session)?;
+    if let Some(file) = &file {
+        let head = JsonValue::object()
+            .field("event", "bootstrap")
+            .field("session", session)
+            .field("bytes", mark.bytes);
+        respond(out, head)?;
+        copy_journal(file, mark.bytes, out)?;
+        respond(out, JsonValue::object().field("event", "live"))?;
+        out.flush()?;
+    }
     Ok((file, mark))
 }
 
-/// Copies the next `len` bytes of a pinned journal file to a feed, outside
-/// the hub lock: committed bytes of a file never change.
+/// Copies the next `len` bytes of a pinned journal file to a feed: the
+/// committed bytes of a file never change.
 fn copy_journal(file: &File, len: u64, out: &mut impl Write) -> std::io::Result<()> {
     if std::io::copy(&mut file.take(len), out)? < len {
         return Err(ErrorKind::UnexpectedEof.into());
@@ -2461,6 +2458,127 @@ mod tests {
 
         let (mut out, mut reader) = connect(addr);
         assert_eq!(drive_round_zero(&mut out, &mut reader, "b"), reference);
+        std::fs::remove_dir_all(&clean_dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The feed's pin check: a journal renamed over before its mark is
+    /// published is not ready, and nothing is copied from it; once the mark
+    /// names the file, the feed pins it and sends its committed bytes.
+    #[test]
+    fn feed_pins_a_journal_only_under_its_own_mark() {
+        let dir = temp_dir("pin");
+        let path = dir.join("market.jsonl");
+        std::fs::write(&path, "old\n").unwrap();
+        let hub = Hub::default();
+        let old = Commit::of(&File::open(&path).unwrap(), 4).unwrap();
+        hub.publish("market", old);
+        let tmp = dir.join("market.jsonl.tmp");
+        std::fs::write(&tmp, "new!\ntail").unwrap();
+        std::fs::rename(&tmp, &path).unwrap();
+
+        let (file, mark) = pin_journal(&hub, &path, "market").unwrap();
+        assert!(file.is_none(), "a mark on another file pins nothing");
+        assert_eq!(mark, old);
+        let mut out = Vec::new();
+        let (file, _) = send_bootstrap(&mut out, &hub, &path, "market").unwrap();
+        assert!(file.is_none() && out.is_empty(), "nothing is copied");
+
+        let new = Commit::of(&File::open(&path).unwrap(), 5).unwrap();
+        hub.publish("market", new);
+        let (file, mark) = pin_journal(&hub, &path, "market").unwrap();
+        assert!(file.is_some(), "the mark names the opened file");
+        assert_eq!(mark, new);
+        send_bootstrap(&mut out, &hub, &path, "market").unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "{\"event\":\"bootstrap\",\"session\":\"market\",\"bytes\":5}\nnew!\n{\"event\":\"live\"}\n"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One session's seal holds no lock another session needs. Session
+    /// A's snapshot temp file is a FIFO, so A's seal blocks opening it
+    /// until a reader comes; meanwhile session B opens, bids and seals
+    /// exactly as on a clean server. Once the FIFO is read, A's seal fails
+    /// (a FIFO cannot be fsynced) and ends A's connection after its round
+    /// committed; B seals again, and A reopens at round 1.
+    #[test]
+    fn tcp_blocked_seal_does_not_stop_another_session() {
+        let script = |session: &str| {
+            let mut lines = vec![format!(r#"{{"cmd":"hello","session":"{session}"}}"#)];
+            for r in 0..2 {
+                lines.extend(
+                    offers_for_round(r)
+                        .into_iter()
+                        .map(|(at, bid)| bid_line(at, bid)),
+                );
+                lines.push(r#"{"cmd":"seal"}"#.to_string());
+            }
+            lines
+        };
+        let run = |out: &mut TcpStream, reader: &mut BufReader<TcpStream>, lines: &[String]| {
+            let mut transcript = Vec::new();
+            for line in lines {
+                send(out, line);
+                transcript.push(read_raw_line(reader));
+            }
+            transcript
+        };
+        let server_cfg = |dir: &Path| {
+            let mut cfg = ServeConfig::new("127.0.0.1:0", dir);
+            cfg.snapshot_every = 1;
+            cfg
+        };
+        let b_script = script("B");
+        let (round0, round1) = b_script.split_at(7);
+
+        let clean_dir = temp_dir("tcp-blocked-clean");
+        let (mut out, mut reader) = connect(serve(server_cfg(&clean_dir)));
+        let reference = run(&mut out, &mut reader, &b_script);
+
+        let dir = temp_dir("tcp-blocked");
+        let fifo = dir.join("A.snapshot.json.tmp");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.unwrap().success(), "mkfifo {}", fifo.display());
+        let addr = serve(server_cfg(&dir));
+        let (mut a_out, mut a_in) = connect(addr);
+        let a_script = script("A");
+        run(&mut a_out, &mut a_in, &a_script[..6]);
+        send(&mut a_out, &a_script[6]);
+        // A's round 0 is committed once its outcome line is in the
+        // journal; its seal then goes on to the snapshot and blocks.
+        let a_journal = dir.join("A.jsonl");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !std::fs::read_to_string(&a_journal)
+            .unwrap()
+            .contains(r#""event":"outcome""#)
+        {
+            assert!(Instant::now() < deadline, "A's round 0 never committed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let (mut b_out, mut b_in) = connect(addr);
+        b_out
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut transcript = run(&mut b_out, &mut b_in, round0);
+        assert_eq!(transcript, reference[..7], "B while A's seal is blocked");
+
+        std::io::read_to_string(File::open(&fifo).unwrap()).unwrap();
+        assert_eq!(
+            a_in.read_line(&mut String::new()).unwrap(),
+            0,
+            "A's seal failed"
+        );
+        transcript.extend(run(&mut b_out, &mut b_in, round1));
+        assert_eq!(transcript, reference);
+        let (mut a_out, mut a_in) = hello(addr, "A");
+        send(&mut a_out, r#"{"cmd":"state"}"#);
+        assert_eq!(
+            read_event(&mut a_in).get("rounds").unwrap().as_usize(),
+            Some(1)
+        );
         std::fs::remove_dir_all(&clean_dir).ok();
         std::fs::remove_dir_all(&dir).ok();
     }

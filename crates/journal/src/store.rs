@@ -195,7 +195,7 @@ fn parse_compact_header(line: &str) -> Option<Snapshot> {
 }
 
 // ---------------------------------------------------------------------
-// Scanning: one buffered pass, bounded memory.
+// Scanning: one buffered pass, per-round marks.
 // ---------------------------------------------------------------------
 
 /// Byte/event coordinates of one committed outcome line — the marks a
@@ -214,11 +214,11 @@ pub struct OutcomeMark {
     pub bytes: u64,
 }
 
-/// What a bounded-memory scan learns about a journal file: the commit
-/// boundary, the compaction base (if any), and one [`OutcomeMark`] per
-/// committed round — but *not* the events themselves, which recovery
-/// streams separately via [`stream_events`] so RSS never scales with
-/// log size.
+/// What a scan learns about a journal file: the commit boundary, the
+/// compaction base (if any), and one 32-byte [`OutcomeMark`] per committed
+/// round in the file. The events themselves are not kept: recovery streams
+/// them separately via [`stream_events`], so its memory grows with the
+/// rounds since the last compaction, not with the bytes of the log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalMeta {
     /// The snapshot a compaction header embedded, if the journal was
@@ -237,9 +237,6 @@ pub struct JournalMeta {
     pub discarded_bytes: u64,
     /// One mark per committed outcome line, in order.
     pub outcomes: Vec<OutcomeMark>,
-    /// Round index of the last committed outcome — falling back to the
-    /// compaction base's last covered round when the suffix has none.
-    pub last_sealed_round: Option<usize>,
 }
 
 impl JournalMeta {
@@ -251,7 +248,6 @@ impl JournalMeta {
             committed_events: 0,
             discarded_bytes: 0,
             outcomes: Vec::new(),
-            last_sealed_round: None,
         }
     }
 
@@ -326,7 +322,6 @@ pub fn scan_meta(path: impl AsRef<Path>) -> std::io::Result<JournalMeta> {
             if let Some(snap) = parse_compact_header(line) {
                 offset += n as u64;
                 events = snap.events;
-                meta.last_sealed_round = snap.collector.next_round.checked_sub(1);
                 meta.base = Some(snap);
                 meta.suffix_bytes = offset;
                 // The header commits by construction: compaction fsyncs
@@ -344,7 +339,6 @@ pub fn scan_meta(path: impl AsRef<Path>) -> std::io::Result<JournalMeta> {
         if let JournalEvent::Outcome { round, digest, .. } = event {
             meta.committed_bytes = offset;
             meta.committed_events = events;
-            meta.last_sealed_round = Some(round);
             meta.outcomes.push(OutcomeMark {
                 events,
                 round,
@@ -619,7 +613,6 @@ mod tests {
         assert_eq!(committed_events(&path, &rec), all);
         assert_eq!(rec.base, None);
         assert_eq!(rec.discarded_bytes, 0);
-        assert_eq!(rec.last_sealed_round, Some(2));
         let meta = scan_meta(&path).unwrap();
         assert_eq!(meta.committed_events, 12);
         assert_eq!(meta.suffix_bytes, 0);
@@ -639,7 +632,6 @@ mod tests {
         let rec = scan_meta(&path).unwrap();
         assert!(committed_events(&path, &rec).is_empty());
         assert_eq!(rec.committed_bytes, 0);
-        assert_eq!(rec.last_sealed_round, None);
     }
 
     #[test]
@@ -665,7 +657,6 @@ mod tests {
         let before = std::fs::metadata(&path).unwrap().len();
         let rec = recover_meta(&path).unwrap();
         assert_eq!(committed_events(&path, &rec), committed);
-        assert_eq!(rec.last_sealed_round, Some(0));
         // The file itself was truncated to the commit point.
         let after = std::fs::metadata(&path).unwrap().len();
         assert_eq!(after, rec.committed_bytes);
@@ -700,7 +691,6 @@ mod tests {
         drop(w);
         let full = scan_meta(&path).unwrap();
         assert_eq!(committed_events(&path, &full).len(), 8);
-        assert_eq!(full.last_sealed_round, Some(1));
         assert_eq!(full.discarded_bytes, 0);
         std::fs::remove_file(&path).ok();
     }
@@ -786,7 +776,6 @@ mod tests {
             all[8..].to_vec(),
             "suffix survives verbatim"
         );
-        assert_eq!(rec.last_sealed_round, Some(2));
         let meta = scan_meta(&path).unwrap();
         assert_eq!(meta.base_events(), 8);
         assert_eq!(meta.committed_events, 12);
@@ -814,7 +803,6 @@ mod tests {
         drop(w);
         let meta = scan_meta(&path).unwrap();
         assert_eq!(meta.committed_events, 16);
-        assert_eq!(meta.last_sealed_round, Some(3));
         std::fs::remove_file(&path).ok();
     }
 
@@ -887,11 +875,6 @@ mod tests {
         let rec = recover_meta(&path).unwrap();
         assert_eq!(rec.base, Some(snap));
         assert!(committed_events(&path, &rec).is_empty());
-        assert_eq!(
-            rec.last_sealed_round,
-            Some(1),
-            "the base still names the last covered round"
-        );
         assert_eq!(rec.discarded_bytes, 0);
         std::fs::remove_file(&path).ok();
     }

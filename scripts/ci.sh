@@ -198,160 +198,9 @@ awk -v r="$ratio" 'BEGIN {
   }
 }'
 
-# Kill-and-recover smoke for the event-sourced market server: run an
-# uninterrupted reference session, then the same session interrupted by
-# SIGKILL with a round's arrivals journaled but unsealed, restart the
-# server from its journal, and require the client's concatenated sealed
-# lines and final state line to be byte-identical to the reference. The
-# drive client regenerates bids deterministically from the seed, so the
-# re-drive after the crash re-sends exactly what the torn tail lost.
-smoke_dir=$(mktemp -d)
-serve_pid=""
-cleanup_serve() {
-  [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true
-  rm -rf "$smoke_dir"
-}
-trap cleanup_serve EXIT
-
-listen_addr() { # $1 = log file; prints the address it announces within 10 s
-  for _ in $(seq 1 100); do
-    sed -n 's/^listening on //p' "$1" | grep . && return
-    sleep 0.1
-  done
-}
-start_server() { # $1 = journal dir, $2 = log file; sets serve_addr/serve_pid
-  LOVM_JOURNAL="$1" LOVM_SNAPSHOT_EVERY=2 LOVM_COMPACT=0 \
-    ./target/release/lovm serve --addr 127.0.0.1:0 --v 20 --budget 2 >"$2" 2>&1 &
-  serve_pid=$!
-  serve_addr=$(listen_addr "$2")
-  if [ -z "$serve_addr" ]; then
-    echo "ci: FAIL — lovm serve did not come up"
-    exit 1
-  fi
-}
-stop_server() { # $1 = signal
-  kill "-$1" "$serve_pid" 2>/dev/null || true
-  wait "$serve_pid" 2>/dev/null || true
-  serve_pid=""
-}
-drive() {
-  ./target/release/lovm drive --addr "$serve_addr" --session smoke \
-    --seed 7 --bidders 6 "$@" 2>/dev/null
-}
-# An interrupted session against its uninterrupted reference: the sealed
-# lines of all its client outputs, concatenated, and the final state line
-# of the last one must be byte-identical to the reference's.
-same_as_reference() { # $1 = what, $2 = reference output, $3… = outputs in order
-  local what=$1 ref=$2
-  shift 2
-  if ! diff <(cat "$@" | grep '"event":"sealed"') <(grep '"event":"sealed"' "$ref"); then
-    echo "ci: FAIL — $what's sealed rounds differ from the uninterrupted run"
-    exit 1
-  fi
-  if ! diff -q <(grep '"event":"state"' "${!#}") <(grep '"event":"state"' "$ref") >/dev/null; then
-    echo "ci: FAIL — $what's final state differs from the uninterrupted run"
-    exit 1
-  fi
-}
-
-start_server "$smoke_dir/ref" "$smoke_dir/ref.log"
-drive --from 0 --to 8 >"$smoke_dir/ref.out"
-stop_server TERM
-
-start_server "$smoke_dir/crash" "$smoke_dir/c1.log"
-drive --from 0 --to 4 >"$smoke_dir/c1.out"
-# Journal round 4's arrivals but never seal them, then SIGKILL mid-round.
-drive --from 4 --to 5 --partial >/dev/null
-stop_server KILL
-
-start_server "$smoke_dir/crash" "$smoke_dir/c2.log"
-drive --from 0 --to 8 >"$smoke_dir/c2.out"
-stop_server TERM
-
-same_as_reference "recovered server" "$smoke_dir/ref.out" "$smoke_dir/c1.out" "$smoke_dir/c2.out"
-echo "ci: serve kill-and-recover smoke ok (byte-identical after SIGKILL)"
-
-# Hostile-input smoke: one line of 300 000 `[` must get a named error on
-# its own connection — before the JSON nesting cap it overflowed the
-# reader thread's stack and aborted the whole server — and the same
-# process must then serve the reference session byte-identically. The
-# line stays under the server's 1 MiB line cap, so it reaches the parser.
-start_server "$smoke_dir/hostile" "$smoke_dir/hostile.log"
-exec 3<>"/dev/tcp/${serve_addr%:*}/${serve_addr##*:}"
-{ head -c 300000 /dev/zero | tr '\0' '['; printf '\n'; } >&3
-hostile_reply=""
-IFS= read -r -t 10 hostile_reply <&3 || true
-exec 3<&-
-if ! printf '%s\n' "$hostile_reply" | grep -q '"event":"error".*nesting too deep'; then
-  echo "ci: FAIL — deep-nesting line did not get a nesting error, got: ${hostile_reply:0:200}"
-  exit 1
-fi
-# A hostile session then bids at a negative arrival time and seals. The
-# bid must get an error naming `at`: before the wire checked the
-# collector's time domain, the seal panicked while holding the server's
-# replication lock and poisoned it, so every later `hello` panicked and
-# the drive below hung — hence its timeout.
-exec 3<>"/dev/tcp/${serve_addr%:*}/${serve_addr##*:}"
-printf '%s\n' '{"cmd":"hello","session":"hostile"}' \
-  '{"cmd":"bid","at":-1e-9,"bidder":0,"cost":1,"data":10,"quality":0.5}' \
-  '{"cmd":"seal"}' >&3
-hostile_replies=()
-for _ in 1 2 3; do
-  hostile_reply=""
-  IFS= read -r -t 10 hostile_reply <&3 || true
-  hostile_replies+=("$hostile_reply")
-done
-exec 3<&-
-if ! printf '%s\n' "${hostile_replies[1]}" | grep -q '"event":"error".*`at`'; then
-  echo "ci: FAIL — negative-time bid did not get an error naming \`at\`, got: ${hostile_replies[1]:0:200}"
-  exit 1
-fi
-if ! timeout 60 ./target/release/lovm drive --addr "$serve_addr" --session smoke \
-    --seed 7 --bidders 6 --from 0 --to 8 >"$smoke_dir/hostile.out" 2>/dev/null; then
-  echo "ci: FAIL — drive after the hostile session failed or hung"
-  exit 1
-fi
-if ! kill -0 "$serve_pid" 2>/dev/null; then
-  echo "ci: FAIL — lovm serve died after the hostile input"
-  exit 1
-fi
-stop_server TERM
-if ! diff -q <(grep '"event":"sealed"' "$smoke_dir/hostile.out") \
-            <(grep '"event":"sealed"' "$smoke_dir/ref.out") >/dev/null; then
-  echo "ci: FAIL — sealed rounds after the hostile input differ from the reference run"
-  exit 1
-fi
-echo "ci: hostile-input smoke ok (deep nesting and negative time refused, same process serves byte-identically)"
-
-# Telemetry serve smoke: the same served session with LOVM_TELEMETRY on
-# must be a pure observer — the drive client's full output byte-identical
-# to the telemetry-off reference run above — while the server emits one
-# valid lovm.telemetry.round.v1 record per sealed round, and the live
-# `stats` wire command must feed a `lovm top` frame.
-telemetry_file="$smoke_dir/telemetry.jsonl"
-export LOVM_TELEMETRY="$telemetry_file"
-start_server "$smoke_dir/tel" "$smoke_dir/tel.log"
-drive --from 0 --to 8 >"$smoke_dir/tel.out"
-top_out=$(./target/release/lovm top --addr "$serve_addr" --frames 1)
-stop_server TERM
-unset LOVM_TELEMETRY
-if ! diff -q "$smoke_dir/tel.out" "$smoke_dir/ref.out" >/dev/null; then
-  echo "ci: FAIL — telemetry-on serve output differs from the telemetry-off run"
-  diff "$smoke_dir/tel.out" "$smoke_dir/ref.out" || true
-  exit 1
-fi
-./target/release/lovm telemetry-check --file "$telemetry_file"
-records=$(wc -l <"$telemetry_file")
-if [ "$records" -ne 8 ]; then
-  echo "ci: FAIL — expected 8 telemetry records (one per sealed round), got $records"
-  exit 1
-fi
-if ! printf '%s\n' "$top_out" | grep -q "rounds.sealed"; then
-  echo "ci: FAIL — lovm top frame is missing the rounds.sealed counter"
-  printf '%s\n' "$top_out"
-  exit 1
-fi
-echo "ci: telemetry serve smoke ok (pure observer, $records valid records, live top frame)"
+# The served smokes (kill-and-recover, hostile input, telemetry on/off)
+# run in `cargo test` above, as tests/served.rs, against real `lovm`
+# processes.
 
 # The repository benchmark's own quick test: it builds `lovm` and the
 # `perfbench` package against the workspace crates and runs both

@@ -283,3 +283,57 @@ fn torn_compacted_journal_always_recovers() {
     std::fs::remove_dir_all(&ref_dir).ok();
     std::fs::remove_dir_all(&crash_dir).ok();
 }
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Length and FNV-1a hash of the file at `path`.
+fn fingerprint(path: &Path) -> (usize, u64) {
+    let bytes = std::fs::read(path).unwrap();
+    (bytes.len(), fnv1a64(&bytes))
+}
+
+/// The journal and snapshot files a session leaves after `PINNED_ROUNDS`
+/// sealed rounds plus one round of unsealed arrivals, snapshotting every
+/// 2 rounds and compacting every `compact_every` (0: never).
+fn pinned_files(compact_every: usize, tag: &str) -> [(usize, u64); 2] {
+    const PINNED_ROUNDS: usize = 10;
+    let dir = temp_dir(tag);
+    let mut cfg = session_cfg(&dir, 2);
+    cfg.compact_every = compact_every;
+    let mut session = MarketSession::open(cfg).unwrap();
+    drive(&mut session, 0..PINNED_ROUNDS);
+    for (at, bid) in offers_for_round(PINNED_ROUNDS) {
+        session.offer(at, bid).unwrap();
+    }
+    drop(session);
+    let files = [
+        fingerprint(&dir.join("market.jsonl")),
+        fingerprint(&dir.join("market.snapshot.json")),
+    ];
+    std::fs::remove_dir_all(&dir).ok();
+    files
+}
+
+/// What a session writes is pinned to constants, not to a second run of
+/// the same build: a change to a journal or snapshot rendering, or to
+/// what a compaction copies, fails here. With compaction every 3 rounds
+/// the journal is a header embedding the snapshot of rounds 0-7, round 8
+/// as the last compaction copied it, round 9 and the unsealed arrivals.
+#[test]
+fn journal_and_snapshot_bytes_are_pinned() {
+    assert_eq!(
+        pinned_files(0, "pinned-plain"),
+        [(10032, 0xaa7da6d7d9e09a16), (388, 0x7a546c69a7f60b4c)],
+        "journal and snapshot (length, FNV-1a) without compaction"
+    );
+    assert_eq!(
+        pinned_files(3, "pinned-compact"),
+        [(2552, 0x9dc7f40ae928d4bc), (388, 0x7a546c69a7f60b4c)],
+        "journal and snapshot (length, FNV-1a) with compaction every 3 rounds"
+    );
+}
