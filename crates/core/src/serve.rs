@@ -53,7 +53,7 @@ use auction::bid::Bid;
 use auction::outcome::AuctionOutcome;
 use ingest::stats::{IngestStats, StreamTotals};
 use ingest::{Admission, CollectedRound, IngestConfig, RoundCollector};
-use journal::{Commit, Digest, JournalEvent, JournalWriter, Snapshot};
+use journal::{Commit, Digest, JournalEvent, JournalWriter, OutcomeMark, Recovery, Snapshot};
 use metrics::json::JsonValue;
 use std::collections::HashMap;
 use std::fs::File;
@@ -175,6 +175,20 @@ pub struct SealedOutcome {
 pub struct MarketSession {
     cfg: SessionConfig,
     writer: JournalWriter,
+    market: Market,
+    rounds_since_snapshot: usize,
+    rounds_since_compact: usize,
+    recovered_rounds: usize,
+    recovery: Recovery,
+    /// The most recent snapshot on disk and the mark of the commit
+    /// boundary it sits at in the current journal file — where the next
+    /// compaction may drop the journal prefix up to.
+    last_snapshot: Option<(Snapshot, OutcomeMark)>,
+}
+
+/// The market state a journal replays into: everything but the journal.
+#[derive(Debug)]
+struct Market {
     collector: RoundCollector,
     lovm: Lovm,
     pool: par::Pool,
@@ -182,12 +196,6 @@ pub struct MarketSession {
     welfare: f64,
     spend: f64,
     next_seq: u64,
-    rounds_since_snapshot: usize,
-    rounds_since_compact: usize,
-    recovered_rounds: usize,
-    /// The most recent snapshot on disk — the boundary the next
-    /// compaction may drop the journal prefix up to.
-    last_snapshot: Option<Snapshot>,
     /// Session-lifetime ingestion rollup. Folded in `run_round`, which
     /// replay shares — so recovery rebuilds the same totals a session
     /// that never crashed would report via the `stats` command.
@@ -198,100 +206,36 @@ fn corrupt(message: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message)
 }
 
-impl MarketSession {
-    /// Opens (or resumes) the session: recovers the journal — truncating
-    /// any torn or uncommitted tail — then rebuilds the market state by
-    /// snapshot fast-forward plus a buffered streaming replay (memory
-    /// stays bounded however large the log), verifying the recomputed
-    /// digest against every replayed outcome line. A compacted journal's
-    /// embedded base snapshot restores the dropped prefix; a separate
-    /// snapshot file is used only when it verifies against a commit
-    /// boundary and sits further ahead — the snapshot is an accelerator,
-    /// never the truth.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, plus `InvalidData` when replay diverges from the
-    /// journal (a committed-region corruption or a config mismatch).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `compact_every` is nonzero while snapshots are
-    /// disabled: compaction can only drop what a snapshot covers.
-    pub fn open(cfg: SessionConfig) -> std::io::Result<MarketSession> {
-        cfg.ingest.validate();
-        assert!(
-            cfg.compact_every == 0 || (cfg.snapshot.is_some() && cfg.snapshot_every > 0),
-            "journal compaction requires snapshots: set a snapshot path and a \
-             nonzero snapshot cadence alongside compact_every"
-        );
-        let meta = journal::recover_meta(&cfg.journal)?;
-        let file_snapshot = match &cfg.snapshot {
-            Some(path) => journal::read_snapshot(path)?.filter(|s| meta.snapshot_covers(s)),
-            None => None,
-        };
-        // The compaction base is itself a snapshot (it rode into the
-        // journal inside the header); fast-forward from whichever
-        // verified snapshot sits further ahead.
-        let snapshot = match (file_snapshot, meta.base.clone()) {
-            (Some(f), Some(b)) => Some(if f.events >= b.events { f } else { b }),
-            (f, b) => f.or(b),
-        };
-        let writer = if cfg.journal.exists() {
-            JournalWriter::open_append(&cfg.journal, meta.committed_events, meta.committed_bytes)?
-        } else {
-            JournalWriter::create(&cfg.journal)?
-        };
+impl Market {
+    /// An empty market, or (`snapshot`) the market a snapshot froze.
+    fn new(cfg: &SessionConfig, snapshot: Option<&Snapshot>) -> Market {
         let mut lovm = Lovm::new(cfg.lovm);
-        let (collector, digest, welfare, spend, next_seq, replay_from_bytes) = match &snapshot {
-            Some(snap) => {
-                lovm.restore_backlog(snap.backlog);
-                (
-                    RoundCollector::restore(&cfg.ingest, &snap.collector),
-                    Digest::resume(snap.digest),
-                    snap.welfare,
-                    snap.spend,
-                    snap.collector.next_seq,
-                    meta.replay_offset(snap),
-                )
-            }
-            None => (
-                RoundCollector::new(&cfg.ingest),
-                Digest::new(),
-                0.0,
-                0.0,
-                0,
-                0,
-            ),
+        let pool = par::Pool::auto();
+        let Some(snap) = snapshot else {
+            return Market {
+                collector: RoundCollector::new(&cfg.ingest),
+                lovm,
+                pool,
+                digest: Digest::new(),
+                welfare: 0.0,
+                spend: 0.0,
+                next_seq: 0,
+                totals: StreamTotals::default(),
+            };
         };
-        // Resume the rollup from the snapshot so the fast-forwarded
-        // prefix still counts; replay below re-absorbs the suffix.
-        let resumed_totals = snapshot.as_ref().map(|s| s.totals).unwrap_or_default();
-        let mut session = MarketSession {
-            cfg,
-            writer,
-            collector,
+        lovm.restore_backlog(snap.backlog);
+        Market {
+            collector: RoundCollector::restore(&cfg.ingest, &snap.collector),
             lovm,
-            pool: par::Pool::auto(),
-            digest,
-            welfare,
-            spend,
-            next_seq,
-            rounds_since_snapshot: 0,
-            rounds_since_compact: 0,
-            recovered_rounds: 0,
-            last_snapshot: snapshot,
-            totals: resumed_totals,
-        };
-        let journal_path = session.cfg.journal.clone();
-        journal::stream_events(
-            &journal_path,
-            replay_from_bytes,
-            meta.committed_bytes,
-            |ev| session.replay_event(ev),
-        )?;
-        session.recovered_rounds = session.collector.next_round();
-        Ok(session)
+            pool,
+            digest: Digest::resume(snap.digest),
+            welfare: snap.welfare,
+            spend: snap.spend,
+            next_seq: snap.collector.next_seq,
+            // Resume the rollup from the snapshot so the fast-forwarded
+            // prefix still counts; replay re-absorbs the suffix.
+            totals: snap.totals,
+        }
     }
 
     /// Re-applies one committed journal event through the live code
@@ -364,6 +308,87 @@ impl MarketSession {
         self.spend += outcome.total_payment();
         (collected, outcome)
     }
+}
+
+/// What [`MarketSession::open`] replays its journal into: the market, and
+/// the snapshot it last restored from, with that snapshot's mark.
+struct Opening<'a> {
+    cfg: &'a SessionConfig,
+    market: Market,
+    restored: Option<(Snapshot, OutcomeMark)>,
+}
+
+impl journal::Replay for Opening<'_> {
+    fn restore(&mut self, snapshot: &Snapshot, at: OutcomeMark) {
+        self.market = Market::new(self.cfg, Some(snapshot));
+        self.restored = Some((snapshot.clone(), at));
+    }
+
+    fn apply(&mut self, event: &JournalEvent) -> std::io::Result<()> {
+        self.market.replay_event(event)
+    }
+}
+
+impl MarketSession {
+    /// Opens (or resumes) the session: recovers the journal in one pass
+    /// (`journal::recover`) — truncating any torn or uncommitted tail —
+    /// and rebuilds the market state by snapshot fast-forward plus a
+    /// buffered streaming replay (memory stays bounded however large the
+    /// log), verifying the recomputed digest against every replayed
+    /// outcome line. A compacted journal's embedded base snapshot restores
+    /// the dropped prefix; a separate snapshot file is used only when it
+    /// verifies against a commit boundary and sits further ahead — the
+    /// snapshot is an accelerator, never the truth.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors, plus `InvalidData` when replay diverges from the
+    /// journal (a committed-region corruption or a config mismatch).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `compact_every` is nonzero while snapshots are
+    /// disabled: compaction can only drop what a snapshot covers.
+    pub fn open(cfg: SessionConfig) -> std::io::Result<MarketSession> {
+        cfg.ingest.validate();
+        assert!(
+            cfg.compact_every == 0 || (cfg.snapshot.is_some() && cfg.snapshot_every > 0),
+            "journal compaction requires snapshots: set a snapshot path and a \
+             nonzero snapshot cadence alongside compact_every"
+        );
+        let file_snapshot = match &cfg.snapshot {
+            Some(path) => journal::read_snapshot(path)?,
+            None => None,
+        };
+        let mut opening = Opening {
+            cfg: &cfg,
+            market: Market::new(&cfg, None),
+            restored: None,
+        };
+        let recovery = journal::recover(&cfg.journal, file_snapshot, &mut opening)?;
+        let Opening {
+            market, restored, ..
+        } = opening;
+        let writer = if cfg.journal.exists() {
+            JournalWriter::open_append(
+                &cfg.journal,
+                recovery.committed_events,
+                recovery.committed_bytes,
+            )?
+        } else {
+            JournalWriter::create(&cfg.journal)?
+        };
+        Ok(MarketSession {
+            cfg,
+            writer,
+            recovered_rounds: market.collector.next_round(),
+            market,
+            rounds_since_snapshot: 0,
+            rounds_since_compact: 0,
+            recovery,
+            last_snapshot: restored,
+        })
+    }
 
     /// Accepts one bid arrival: journals it (write-ahead, flushed but
     /// not yet durable — the next seal's fsync commits it), then offers
@@ -378,11 +403,12 @@ impl MarketSession {
             ingest::clock::valid_arrival_time(at),
             "arrival time must be finite and >= 0, got {at}"
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let market = &mut self.market;
+        let seq = market.next_seq;
+        market.next_seq += 1;
         self.writer
             .append_raw(&JournalEvent::Arrival { seq, at, bid }.to_line())?;
-        let admission = self.collector.offer_at(seq, TimedBid { at, bid });
+        let admission = market.collector.offer_at(seq, TimedBid { at, bid });
         Ok((seq, admission))
     }
 
@@ -392,10 +418,10 @@ impl MarketSession {
     pub fn seal(&mut self) -> std::io::Result<SealedOutcome> {
         let observing = telemetry::enabled();
         let solve_start = observing.then(Instant::now);
-        let (collected, outcome) = self.run_round();
+        let (collected, outcome) = self.market.run_round();
         let solve_ns = elapsed_ns(solve_start);
         let round = collected.sealed.round();
-        let backlog = self.lovm.queue_backlog();
+        let backlog = self.market.lovm.queue_backlog();
         let seal_line = JournalEvent::Seal {
             round,
             sealed: collected.sealed.bids().to_vec(),
@@ -407,7 +433,7 @@ impl MarketSession {
             virtual_welfare: outcome.virtual_welfare,
             spend: outcome.total_payment(),
             backlog,
-            digest: self.digest.value(),
+            digest: self.market.digest.value(),
         }
         .to_line();
         let persist_start = observing.then(Instant::now);
@@ -442,10 +468,13 @@ impl MarketSession {
             stats: collected.stats,
             outcome,
             backlog,
-            digest: self.digest.value(),
+            digest: self.market.digest.value(),
         })
     }
 
+    /// Every `snapshot_every` commit points, writes a snapshot and keeps
+    /// the mark of the outcome line it sits at, which the writer just
+    /// synced.
     fn maybe_snapshot(&mut self) -> std::io::Result<()> {
         let Some(path) = &self.cfg.snapshot else {
             return Ok(());
@@ -458,17 +487,24 @@ impl MarketSession {
             return Ok(());
         }
         self.rounds_since_snapshot = 0;
+        let m = &self.market;
         let snap = Snapshot {
             events: self.writer.events(),
-            collector: self.collector.export_state(),
-            backlog: self.lovm.queue_backlog(),
-            welfare: self.welfare,
-            spend: self.spend,
-            digest: self.digest.value(),
-            totals: self.totals,
+            collector: m.collector.export_state(),
+            backlog: m.lovm.queue_backlog(),
+            welfare: m.welfare,
+            spend: m.spend,
+            digest: m.digest.value(),
+            totals: m.totals,
         };
         journal::write_snapshot(path, &snap)?;
-        self.last_snapshot = Some(snap);
+        let mark = OutcomeMark {
+            events: snap.events,
+            round: m.collector.next_round() - 1,
+            digest: snap.digest,
+            bytes: self.writer.commit().bytes,
+        };
+        self.last_snapshot = Some((snap, mark));
         Ok(())
     }
 
@@ -485,19 +521,17 @@ impl MarketSession {
             return Ok(());
         }
         self.rounds_since_compact = 0;
-        let Some(snap) = self.last_snapshot.clone() else {
+        let Some((snap, mark)) = &mut self.last_snapshot else {
             return Ok(());
         };
-        let stats = journal::compact(&self.cfg.journal, &snap)?;
-        if stats.dropped_events > 0 {
-            // The rename replaced the inode the writer held open. A seal
-            // leaves no uncommitted tail, so the new file is all committed.
-            self.writer = JournalWriter::open_append(
-                &self.cfg.journal,
-                self.writer.events(),
-                stats.bytes_after,
-            )?;
-        }
+        let stats = journal::compact(&self.cfg.journal, snap, mark)?;
+        // The snapshot now sits at the header's end. The rename (if the
+        // journal did not already start there) replaced the inode the
+        // writer held open; a seal leaves no uncommitted tail, so the new
+        // file is all committed.
+        mark.bytes = stats.suffix_bytes;
+        self.writer =
+            JournalWriter::open_append(&self.cfg.journal, self.writer.events(), stats.bytes_after)?;
         Ok(())
     }
 
@@ -520,7 +554,7 @@ impl MarketSession {
             )));
         };
         self.writer.append_raw(line)?;
-        self.replay_event(&ev)?;
+        self.market.replay_event(&ev)?;
         if let JournalEvent::Outcome { round, digest, .. } = &ev {
             self.writer.sync()?;
             self.maybe_snapshot()?;
@@ -532,7 +566,7 @@ impl MarketSession {
 
     /// Rounds sealed so far (including recovered ones).
     pub fn rounds_sealed(&self) -> usize {
-        self.collector.next_round()
+        self.market.collector.next_round()
     }
 
     /// Rounds the session resumed with at [`MarketSession::open`].
@@ -540,24 +574,31 @@ impl MarketSession {
         self.recovered_rounds
     }
 
+    /// What [`MarketSession::open`]'s recovery did: the base it started
+    /// from, the journal bytes it read, the events it replayed and the
+    /// tail bytes it discarded.
+    pub fn recovery(&self) -> Recovery {
+        self.recovery
+    }
+
     /// Running state digest (see `journal::Digest`).
     pub fn digest(&self) -> u64 {
-        self.digest.value()
+        self.market.digest.value()
     }
 
     /// Current virtual-queue backlog.
     pub fn backlog(&self) -> f64 {
-        self.lovm.queue_backlog()
+        self.market.lovm.queue_backlog()
     }
 
     /// Cumulative virtual welfare over all sealed rounds.
     pub fn welfare(&self) -> f64 {
-        self.welfare
+        self.market.welfare
     }
 
     /// Cumulative payments over all sealed rounds.
     pub fn total_spend(&self) -> f64 {
-        self.spend
+        self.market.spend
     }
 
     /// Committed + appended journal events.
@@ -569,7 +610,7 @@ impl MarketSession {
     /// folded through [`StreamTotals::absorb`], recovered rounds
     /// included. The `stats` wire command reports this.
     pub fn stream_totals(&self) -> &StreamTotals {
-        &self.totals
+        &self.market.totals
     }
 }
 
@@ -1047,17 +1088,37 @@ fn handle_connection(stream: TcpStream, cfg: &ServeConfig, hub: &Arc<Hub>) -> st
                 }
             },
             (Ok(_), None) => error_response("say hello first"),
-            (Ok(Request::Bid { at, bid }), Some(o)) => {
-                let (seq, admission) = o.session.offer(at, bid)?;
-                JsonValue::object()
+            (Ok(Request::Bid { at, bid }), Some(o)) => match o.session.offer(at, bid) {
+                Ok((seq, admission)) => JsonValue::object()
                     .field("event", "bid")
                     .field("seq", seq)
-                    .field("admission", admission_name(admission))
-            }
+                    .field("admission", admission_name(admission)),
+                Err(e) => {
+                    let message = format!("the bid was not journaled: {e}");
+                    return close_with_error(&mut out, &message, e);
+                }
+            },
             (Ok(Request::Seal), Some(o)) => {
-                let sealed = o.session.seal()?;
-                hub.publish(&o.claim.name, o.session.writer.commit());
-                sealed_response(&sealed)
+                let before = o.session.writer.commit();
+                let sealed = o.session.seal();
+                // A seal that fails after its commit fsync (in the snapshot
+                // or the compaction) still committed its round.
+                let commit = o.session.writer.commit();
+                if commit != before {
+                    hub.publish(&o.claim.name, commit);
+                }
+                match sealed {
+                    Ok(sealed) => sealed_response(&sealed),
+                    Err(e) => {
+                        let round = o.session.rounds_sealed() - 1;
+                        let message = if commit != before {
+                            format!("round {round} committed, then its seal failed: {e}")
+                        } else {
+                            format!("round {round} was not committed: {e}")
+                        };
+                        return close_with_error(&mut out, &message, e);
+                    }
+                }
             }
             (Ok(Request::State), Some(o)) => session_summary(
                 JsonValue::object().field("event", "state"),
@@ -1072,6 +1133,19 @@ fn handle_connection(stream: TcpStream, cfg: &ServeConfig, hub: &Arc<Hub>) -> st
     }
     respond(&mut out, JsonValue::object().field("event", "bye"))?;
     out.flush()
+}
+
+/// Answers `message` as an `error` and ends the connection with `cause`:
+/// a session whose journal write failed holds state its journal may not,
+/// so it closes, and the next `hello` reopens it from the journal.
+fn close_with_error(
+    out: &mut impl Write,
+    message: &str,
+    cause: std::io::Error,
+) -> std::io::Result<()> {
+    respond(out, error_response(message))?;
+    out.flush()?;
+    Err(cause)
 }
 
 /// Claims session `name` for this connection and opens it, or says why
@@ -1231,7 +1305,7 @@ pub fn follow(
     let (mut line, mut replica, mut held) = (Vec::new(), None::<MarketSession>, 0);
     loop {
         if let Some(session) = &replica {
-            held = held.max(session.collector.outstanding());
+            held = held.max(session.market.collector.outstanding());
         }
         let cap = feed_line_cap(held);
         line.clear();
@@ -2372,7 +2446,7 @@ mod tests {
         let cfg = session_cfg(&follower_dir, 2);
         let mut installed = None;
         let err = follow(TcpStream::connect(addr).unwrap(), "market", &cfg, |_, s| {
-            installed = Some((s.rounds_sealed(), s.collector.outstanding()))
+            installed = Some((s.rounds_sealed(), s.market.collector.outstanding()))
         })
         .unwrap_err();
         let (rounds, held) = installed.expect("the bootstrap was installed");
@@ -2501,8 +2575,9 @@ mod tests {
     /// A's snapshot temp file is a FIFO, so A's seal blocks opening it
     /// until a reader comes; meanwhile session B opens, bids and seals
     /// exactly as on a clean server. Once the FIFO is read, A's seal fails
-    /// (a FIFO cannot be fsynced) and ends A's connection after its round
-    /// committed; B seals again, and A reopens at round 1.
+    /// (a FIFO cannot be fsynced) after its round committed: A gets an
+    /// error saying so and its connection ends; B seals again, and A
+    /// reopens at round 1.
     #[test]
     fn tcp_blocked_seal_does_not_stop_another_session() {
         let script = |session: &str| {
@@ -2566,10 +2641,15 @@ mod tests {
         assert_eq!(transcript, reference[..7], "B while A's seal is blocked");
 
         std::io::read_to_string(File::open(&fifo).unwrap()).unwrap();
+        // A's seal failed after its commit: A is told so, then closed.
+        let failed = read_event(&mut a_in);
+        assert_eq!(event_of(&failed), "error");
+        let message = failed.get("message").and_then(JsonValue::as_str).unwrap();
+        assert!(message.starts_with("round 0 committed"), "{message}");
         assert_eq!(
             a_in.read_line(&mut String::new()).unwrap(),
             0,
-            "A's seal failed"
+            "A's connection closed"
         );
         transcript.extend(run(&mut b_out, &mut b_in, round1));
         assert_eq!(transcript, reference);

@@ -109,11 +109,15 @@ impl JournalEvent {
 
     /// Decodes one journal line; `None` on anything malformed.
     pub fn parse_line(line: &str) -> Option<JournalEvent> {
-        let v = JsonValue::parse(line).ok()?;
+        Self::from_json(&JsonValue::parse(line).ok()?)
+    }
+
+    /// Decodes one parsed journal line; `None` on anything malformed.
+    pub(crate) fn from_json(v: &JsonValue) -> Option<JournalEvent> {
         match v.get("event")?.as_str()? {
             "arrival" => Some(JournalEvent::Arrival {
                 seq: v.get("seq")?.as_u64()?,
-                at: decode_at(&v).ok()?,
+                at: decode_at(v).ok()?,
                 bid: decode_bid(v.get("bid")?).ok()?,
             }),
             "seal" => {

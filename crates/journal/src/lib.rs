@@ -5,17 +5,22 @@
 //! arrival, seal, and auction outcome becomes one JSON line in an
 //! append-only journal ([`JournalEvent`], [`JournalWriter`]), fsynced at
 //! each seal so the outcome line is the commit record. A killed server
-//! recovers by truncating the torn/uncommitted tail ([`recover_meta`]),
-//! optionally fast-forwarding from a [`Snapshot`] taken at a sealed
-//! round, and streaming the remaining events back through the live code
-//! path ([`stream_events`]) — landing *bit-identically* on the last
+//! recovers in one pass over the file ([`recover`]): each line is parsed
+//! once, each round's events are held until its outcome line commits
+//! them, the torn or uncommitted tail is truncated, and a [`Snapshot`]
+//! taken at a sealed round fast-forwards replay once the outcome line it
+//! sits at verifies it — landing *bit-identically* on the last
 //! fully-sealed round without ever holding the log in memory.
+//! [`scan_meta`], [`recover_meta`] and [`stream_events`] read through the
+//! same line loop.
 //!
 //! [`compact`] keeps long-lived journals bounded: once a snapshot
 //! commits, the covered prefix is rewritten away behind a header line
 //! that embeds the snapshot itself, so a compacted journal stays
 //! self-contained and recovery transparently handles a file whose first
-//! event index is nonzero.
+//! event index is nonzero. The writer of the snapshot names its boundary
+//! by the mark it kept, so compaction reads no line before it but the
+//! outcome line it checks.
 //!
 //! Bit-exactness is inherited from `metrics::json`: every finite `f64`
 //! the writer renders parses back to the same bits, and the running
@@ -29,8 +34,8 @@ pub mod store;
 pub use event::JournalEvent;
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
 pub use store::{
-    compact, fsync_parent_dir, recover_meta, scan_meta, stream_events, Commit, CompactStats,
-    JournalMeta, JournalWriter, OutcomeMark,
+    compact, fsync_parent_dir, recover, recover_meta, scan_meta, stream_events, Base, Commit,
+    CompactStats, JournalMeta, JournalWriter, OutcomeMark, Recovery, Replay, HOLD_EVENTS,
 };
 
 /// Running FNV-1a digest over the bit patterns of a market trajectory.

@@ -4,16 +4,17 @@
 //! **Durability contract.** Arrival lines are written and flushed (so the
 //! OS holds them), but only a seal commits: [`JournalWriter::sync`] runs
 //! `fdatasync` after the round's seal + outcome lines, making the
-//! *outcome line* the commit record. Recovery scans the file front to
-//! back and keeps exactly the prefix ending at the last complete outcome
-//! line; everything after it — torn half-lines from a crashed write,
-//! arrivals that were never sealed, a seal line whose outcome never made
-//! it out — is truncated and never replayed. Clients re-send bids the
-//! server never acknowledged a seal for; the collector's freshest-bid
-//! dedupe makes those re-sends idempotent. File *creation* and every
-//! rename are followed by a parent-directory fsync, so a crash right
-//! after cannot lose the directory entry of data already on stable
-//! storage.
+//! *outcome line* the commit record. Recovery ([`recover`]) reads the file
+//! front to back once, parsing each line once, and keeps exactly the
+//! prefix ending at the last complete outcome line; everything after it —
+//! torn half-lines from a crashed write, arrivals that were never sealed,
+//! a seal line whose outcome never made it out — is truncated and never
+//! replayed. A round's events are held until its outcome line parses and
+//! only then applied. Clients re-send bids the server never acknowledged
+//! a seal for; the collector's freshest-bid dedupe makes those re-sends
+//! idempotent. File *creation* and every rename are followed by a
+//! parent-directory fsync, so a crash right after cannot lose the
+//! directory entry of data already on stable storage.
 //!
 //! **Compaction.** [`compact`] bounds the journal to the suffix a
 //! snapshot does not cover: it writes a header line embedding the
@@ -22,9 +23,15 @@
 //! followed by the raw bytes of every event past the snapshot boundary,
 //! to a temp file in the same directory; fsyncs it; renames it over the
 //! journal; and fsyncs the directory. A crash at any instant leaves
-//! either the old journal or the new one, never a torn mix. A scan of a
-//! compacted journal reports the header as [`JournalMeta::base`] and
-//! indexes events from the base offset onward.
+//! either the old journal or the new one, never a torn mix. The caller
+//! names the boundary by the [`OutcomeMark`] it kept when it wrote the
+//! snapshot, so compaction reads no line before it but the one outcome
+//! line it checks the snapshot against. A scan of a compacted journal
+//! reports the header as [`JournalMeta::base`] and indexes events from the
+//! base offset onward.
+//!
+//! Every reader here — [`scan_meta`], [`recover_meta`], [`stream_events`]
+//! and [`recover`] — reads through one line loop.
 
 use crate::event::JournalEvent;
 use crate::snapshot::Snapshot;
@@ -185,22 +192,112 @@ fn compact_header_line(snapshot: &Snapshot) -> String {
         .to_string()
 }
 
-/// Parses a compaction header line; `None` on anything else.
-fn parse_compact_header(line: &str) -> Option<Snapshot> {
-    let v = JsonValue::parse(line).ok()?;
-    if v.get("event")?.as_str()? != "compact" {
-        return None;
+// ---------------------------------------------------------------------
+// Reading: one line loop.
+// ---------------------------------------------------------------------
+
+/// One journal line, parsed.
+enum Entry {
+    /// A compaction header: only a file's first line can be one.
+    Header(Snapshot),
+    /// An event line.
+    Event(JournalEvent),
+}
+
+/// Parses one line (newline stripped); `header` lets it be a compaction
+/// header. `None` for anything that is neither UTF-8 JSON nor a journal
+/// line.
+fn parse_entry(line: &[u8], header: bool) -> Option<Entry> {
+    let v = JsonValue::parse(std::str::from_utf8(line).ok()?).ok()?;
+    if header && v.get("event")?.as_str()? == "compact" {
+        return Snapshot::from_json(v.get("snapshot")?).map(Entry::Header);
     }
-    Snapshot::from_json(v.get("snapshot")?)
+    JournalEvent::from_json(&v).map(Entry::Event)
+}
+
+/// The journal's one line loop: it reads a file forward from a byte offset
+/// through a 128 KiB buffer and parses each line once. It stops at the
+/// first line that is torn (no newline) or does not parse: nothing from
+/// there on is committed.
+struct Lines {
+    reader: BufReader<File>,
+    buf: Vec<u8>,
+    /// Byte offset just past the last line parsed.
+    offset: u64,
+    /// Bytes read so far, the line that stopped the loop included.
+    read: u64,
+    /// Whether the next line may be a compaction header (the file's first).
+    header: bool,
+}
+
+impl Lines {
+    /// The lines of `file` from byte `from`, which must start a line.
+    fn new(mut file: File, from: u64) -> std::io::Result<Lines> {
+        file.seek(SeekFrom::Start(from))?;
+        Ok(Lines {
+            reader: BufReader::with_capacity(128 * 1024, file),
+            buf: Vec::new(),
+            offset: from,
+            read: 0,
+            header: from == 0,
+        })
+    }
+
+    /// The lines of the file at `path` from byte `from`; `None` when the
+    /// file does not exist.
+    fn open(path: &Path, from: u64) -> std::io::Result<Option<Lines>> {
+        match File::open(path) {
+            Ok(file) => Lines::new(file, from).map(Some),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The next line, or `None` at EOF and at the first torn or
+    /// unparseable line.
+    fn next(&mut self) -> std::io::Result<Option<Entry>> {
+        self.buf.clear();
+        let n = self.reader.read_until(b'\n', &mut self.buf)?;
+        self.read += n as u64;
+        let header = std::mem::take(&mut self.header);
+        let entry = self
+            .buf
+            .strip_suffix(b"\n")
+            .and_then(|line| parse_entry(line, header));
+        if entry.is_some() {
+            self.offset += n as u64;
+        }
+        Ok(entry)
+    }
+
+    /// Feeds every event line up to byte `to` to `f`. Every line before
+    /// `to` must parse: the caller knows the range is committed.
+    fn feed(
+        &mut self,
+        to: u64,
+        mut f: impl FnMut(&JournalEvent) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        while self.offset < to {
+            let at = self.offset;
+            match self.next()? {
+                Some(Entry::Event(event)) => f(&event)?,
+                _ => {
+                    return Err(corrupt(format!(
+                        "committed journal region is unreadable at byte {at}"
+                    )))
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------
-// Scanning: one buffered pass, per-round marks.
+// Scanning and recovery: one pass, per-round marks.
 // ---------------------------------------------------------------------
 
-/// Byte/event coordinates of one committed outcome line — the marks a
-/// scan leaves so recovery can verify a snapshot and seek straight to
-/// its boundary without rereading the prefix.
+/// Byte/event coordinates of one committed outcome line: where a snapshot
+/// taken at that round sits in the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutcomeMark {
     /// Logical event count through this outcome (compacted prefix
@@ -214,11 +311,22 @@ pub struct OutcomeMark {
     pub bytes: u64,
 }
 
+impl OutcomeMark {
+    /// The mark of a compaction header embedding `base`, which ends at
+    /// byte `bytes`: the base sits at the header's end.
+    fn of_base(base: &Snapshot, bytes: u64) -> OutcomeMark {
+        OutcomeMark {
+            events: base.events,
+            round: base.collector.next_round.saturating_sub(1),
+            digest: base.digest,
+            bytes,
+        }
+    }
+}
+
 /// What a scan learns about a journal file: the commit boundary, the
 /// compaction base (if any), and one 32-byte [`OutcomeMark`] per committed
-/// round in the file. The events themselves are not kept: recovery streams
-/// them separately via [`stream_events`], so its memory grows with the
-/// rounds since the last compaction, not with the bytes of the log.
+/// round in the file. The events themselves are not kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalMeta {
     /// The snapshot a compaction header embedded, if the journal was
@@ -256,99 +364,57 @@ impl JournalMeta {
     pub fn base_events(&self) -> u64 {
         self.base.as_ref().map_or(0, |s| s.events)
     }
-
-    /// Whether `snapshot` sits exactly on a commit boundary of this
-    /// journal with a bitwise-matching digest — either the compaction
-    /// base itself or one of the committed outcome marks. Only such a
-    /// snapshot may fast-forward recovery.
-    pub fn snapshot_covers(&self, snapshot: &Snapshot) -> bool {
-        if snapshot.events == 0 {
-            return false;
-        }
-        if let Some(base) = &self.base {
-            if snapshot.events == base.events {
-                return snapshot.digest == base.digest;
-            }
-        }
-        self.outcomes
-            .iter()
-            .any(|m| m.events == snapshot.events && m.digest == snapshot.digest)
-    }
-
-    /// Byte offset replay starts at when fast-forwarding from
-    /// `snapshot` (which must satisfy [`JournalMeta::snapshot_covers`]).
-    pub fn replay_offset(&self, snapshot: &Snapshot) -> u64 {
-        if snapshot.events == self.base_events() {
-            return self.suffix_bytes;
-        }
-        self.outcomes
-            .iter()
-            .find(|m| m.events == snapshot.events)
-            .map(|m| m.bytes)
-            .expect("replay_offset requires a covering snapshot")
-    }
 }
+
+/// What a recovery rebuilds from a journal.
+pub trait Replay {
+    /// Starts over from `snapshot`, which sits at `at`: a compaction base,
+    /// or a snapshot file verified against the outcome line it sits at.
+    fn restore(&mut self, snapshot: &Snapshot, at: OutcomeMark);
+    /// Re-applies one committed event.
+    fn apply(&mut self, event: &JournalEvent) -> std::io::Result<()>;
+}
+
+/// Where a recovered state came from before replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Base {
+    /// An empty market: replay started at the first event.
+    None,
+    /// The compaction header's embedded snapshot.
+    Compaction,
+    /// The snapshot file, at the outcome line it matched.
+    Snapshot,
+}
+
+/// What one [`recover`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Recovery {
+    /// The state replay started from.
+    pub base: Base,
+    /// Journal bytes the line loop consumed, a second pass included: equal
+    /// to `committed_bytes` when the file was read once and had no tail.
+    pub bytes_read: u64,
+    /// Events re-applied on top of the base.
+    pub events_replayed: u64,
+    /// Bytes past the commit point that were truncated away.
+    pub discarded_bytes: u64,
+    /// The committed byte length, which the file now has.
+    pub committed_bytes: u64,
+    /// Logical committed event count, compacted prefix included.
+    pub committed_events: u64,
+}
+
+/// Most events recovery holds for one round before its outcome line
+/// commits them. Past it the round's events are dropped, and once the
+/// outcome line parses, the round's bytes are read again and applied: an
+/// uncommitted tail of any length costs bounded memory.
+pub const HOLD_EVENTS: usize = 1 << 14;
 
 /// Scans a journal in one buffered pass without modifying it (see
 /// [`recover_meta`] for the truncating variant), keeping only per-round
 /// marks in memory. A missing file reads as an empty journal.
 pub fn scan_meta(path: impl AsRef<Path>) -> std::io::Result<JournalMeta> {
-    let file = match File::open(path.as_ref()) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(JournalMeta::empty()),
-        Err(e) => return Err(e),
-    };
-    let total_bytes = file.metadata()?.len();
-    let mut reader = BufReader::with_capacity(128 * 1024, file);
-    let mut meta = JournalMeta::empty();
-    let mut offset = 0u64;
-    let mut events = 0u64;
-    let mut buf = Vec::new();
-    let mut first = true;
-    loop {
-        buf.clear();
-        let n = reader.read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            break; // clean EOF
-        }
-        if buf.last() != Some(&b'\n') {
-            break; // no terminator: torn tail
-        }
-        let Ok(line) = std::str::from_utf8(&buf[..n - 1]) else {
-            break;
-        };
-        if first {
-            first = false;
-            if let Some(snap) = parse_compact_header(line) {
-                offset += n as u64;
-                events = snap.events;
-                meta.base = Some(snap);
-                meta.suffix_bytes = offset;
-                // The header commits by construction: compaction fsyncs
-                // it before the rename that makes it visible.
-                meta.committed_bytes = offset;
-                meta.committed_events = events;
-                continue;
-            }
-        }
-        let Some(event) = JournalEvent::parse_line(line) else {
-            break;
-        };
-        offset += n as u64;
-        events += 1;
-        if let JournalEvent::Outcome { round, digest, .. } = event {
-            meta.committed_bytes = offset;
-            meta.committed_events = events;
-            meta.outcomes.push(OutcomeMark {
-                events,
-                round,
-                digest,
-                bytes: offset,
-            });
-        }
-    }
-    meta.discarded_bytes = total_bytes - meta.committed_bytes;
-    Ok(meta)
+    pass(path.as_ref(), None, None, HOLD_EVENTS).map(|(meta, _)| meta)
 }
 
 /// Recovers a journal in place: scans for the committed prefix and
@@ -356,13 +422,181 @@ pub fn scan_meta(path: impl AsRef<Path>) -> std::io::Result<JournalMeta> {
 /// never be replayed.
 pub fn recover_meta(path: impl AsRef<Path>) -> std::io::Result<JournalMeta> {
     let mut meta = scan_meta(path.as_ref())?;
+    truncate_tail(path.as_ref(), &mut meta)?;
+    Ok(meta)
+}
+
+/// Recovers a journal in place and replays it into `sink`, reading each
+/// line once. The committed prefix is every line up to the last outcome
+/// line before the first torn or unparseable one; the file is truncated to
+/// it. A compaction header restores its base. `snapshot` (the snapshot
+/// file) fast-forwards replay when it sits on a committed outcome line with
+/// the same event count and digest, or at the base itself: lines before it
+/// are parsed, not applied. Each later round's events are held until its
+/// outcome line parses, then applied. A snapshot that sits on no commit
+/// boundary is ignored, and the prefix it skipped is read again from the
+/// base.
+///
+/// # Errors
+///
+/// I/O errors, and whatever `sink` returns.
+pub fn recover(
+    path: impl AsRef<Path>,
+    snapshot: Option<Snapshot>,
+    sink: &mut impl Replay,
+) -> std::io::Result<Recovery> {
+    let path = path.as_ref();
+    let (mut meta, recovery) = pass(path, snapshot, Some(sink), HOLD_EVENTS)?;
+    truncate_tail(path, &mut meta)?;
+    Ok(recovery)
+}
+
+/// Truncates the file to `meta`'s committed prefix if it holds more.
+fn truncate_tail(path: &Path, meta: &mut JournalMeta) -> std::io::Result<()> {
     if meta.discarded_bytes > 0 {
-        let file = OpenOptions::new().write(true).open(path.as_ref())?;
+        let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(meta.committed_bytes)?;
         file.sync_data()?;
         meta.discarded_bytes = 0;
     }
-    Ok(meta)
+    Ok(())
+}
+
+/// The one pass behind [`scan_meta`] and [`recover`] (see there), holding
+/// at most `hold` events; without a sink it only marks.
+fn pass(
+    path: &Path,
+    snapshot: Option<Snapshot>,
+    mut sink: Option<&mut dyn Replay>,
+    hold: usize,
+) -> std::io::Result<(JournalMeta, Recovery)> {
+    let mut meta = JournalMeta::empty();
+    let mut rec = Recovery {
+        base: Base::None,
+        bytes_read: 0,
+        events_replayed: 0,
+        discarded_bytes: 0,
+        committed_bytes: 0,
+        committed_events: 0,
+    };
+    let Some(mut lines) = Lines::open(path, 0)? else {
+        return Ok((meta, rec));
+    };
+    let total_bytes = lines.reader.get_ref().metadata()?.len();
+    // The snapshot file while the outcome line it claims is still ahead.
+    let mut ahead = snapshot.filter(|s| s.events > 0);
+    // The current round's events, unless it outgrew `hold`.
+    let mut held = Vec::new();
+    let mut overflow = false;
+    let mut events = 0;
+    while let Some(entry) = lines.next()? {
+        let round_start = meta.committed_bytes;
+        let event = match entry {
+            Entry::Header(base) => {
+                events = base.events;
+                meta.suffix_bytes = lines.offset;
+                // The header commits by construction: compaction fsyncs
+                // it before the rename that makes it visible.
+                meta.committed_bytes = lines.offset;
+                meta.committed_events = events;
+                // At the base's own boundary the snapshot file wins.
+                let file = ahead
+                    .take_if(|f| f.events <= base.events)
+                    .filter(|f| f.events == base.events && f.digest == base.digest);
+                if let Some(sink) = sink.as_deref_mut() {
+                    sink.restore(
+                        file.as_ref().unwrap_or(&base),
+                        OutcomeMark::of_base(&base, lines.offset),
+                    );
+                }
+                rec.base = if file.is_some() {
+                    Base::Snapshot
+                } else {
+                    Base::Compaction
+                };
+                meta.base = Some(base);
+                continue;
+            }
+            Entry::Event(event) => event,
+        };
+        events += 1;
+        let mark = match event {
+            JournalEvent::Outcome { round, digest, .. } => Some(OutcomeMark {
+                events,
+                round,
+                digest,
+                bytes: lines.offset,
+            }),
+            _ => None,
+        };
+        if sink.is_some() && ahead.is_none() && !overflow {
+            overflow = held.len() == hold;
+            if overflow {
+                held.clear();
+            } else {
+                held.push(event);
+            }
+        }
+        let Some(mark) = mark else { continue };
+        meta.committed_bytes = mark.bytes;
+        meta.committed_events = events;
+        meta.outcomes.push(mark);
+        let Some(sink) = sink.as_deref_mut() else {
+            continue;
+        };
+        if let Some(file) = ahead.take_if(|f| f.events <= events) {
+            if file.events == events && file.digest == mark.digest {
+                sink.restore(&file, mark);
+                rec.base = Base::Snapshot;
+            } else {
+                // The snapshot sits on no commit boundary: replay what it
+                // skipped from the base after all.
+                replay_range(path, meta.suffix_bytes, mark.bytes, sink, &mut rec)?;
+            }
+        } else if ahead.is_none() {
+            if overflow {
+                replay_range(path, round_start, mark.bytes, sink, &mut rec)?;
+            } else {
+                rec.events_replayed += held.len() as u64;
+                held.drain(..).try_for_each(|ev| sink.apply(&ev))?;
+            }
+        }
+        overflow = false;
+    }
+    if let (Some(_), Some(sink)) = (ahead, sink) {
+        // The snapshot is ahead of the journal's commit point.
+        replay_range(
+            path,
+            meta.suffix_bytes,
+            meta.committed_bytes,
+            sink,
+            &mut rec,
+        )?;
+    }
+    meta.discarded_bytes = total_bytes - meta.committed_bytes;
+    rec.bytes_read += lines.read;
+    rec.discarded_bytes = meta.discarded_bytes;
+    rec.committed_bytes = meta.committed_bytes;
+    rec.committed_events = meta.committed_events;
+    Ok((meta, rec))
+}
+
+/// Applies the committed events in `[from, to)` to `sink` in a second
+/// read, counting it in `rec`.
+fn replay_range(
+    path: &Path,
+    from: u64,
+    to: u64,
+    sink: &mut dyn Replay,
+    rec: &mut Recovery,
+) -> std::io::Result<()> {
+    let mut lines = Lines::new(File::open(path)?, from)?;
+    lines.feed(to, |event| {
+        rec.events_replayed += 1;
+        sink.apply(event)
+    })?;
+    rec.bytes_read += lines.read;
+    Ok(())
 }
 
 /// Streams the committed events in `[from_bytes, to_bytes)` to `f` in
@@ -373,30 +607,12 @@ pub fn stream_events(
     path: impl AsRef<Path>,
     from_bytes: u64,
     to_bytes: u64,
-    mut f: impl FnMut(&JournalEvent) -> std::io::Result<()>,
+    f: impl FnMut(&JournalEvent) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     if from_bytes >= to_bytes {
         return Ok(());
     }
-    let mut file = File::open(path.as_ref())?;
-    file.seek(SeekFrom::Start(from_bytes))?;
-    let mut reader = BufReader::with_capacity(128 * 1024, file);
-    let mut offset = from_bytes;
-    let mut buf = Vec::new();
-    while offset < to_bytes {
-        buf.clear();
-        let n = reader.read_until(b'\n', &mut buf)?;
-        let line = std::str::from_utf8(&buf[..n.saturating_sub(1)]).ok();
-        let event = line.and_then(JournalEvent::parse_line).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("committed journal region is unreadable at byte {offset}"),
-            )
-        })?;
-        f(&event)?;
-        offset += n as u64;
-    }
-    Ok(())
+    Lines::new(File::open(path.as_ref())?, from_bytes)?.feed(to_bytes, f)
 }
 
 // ---------------------------------------------------------------------
@@ -406,16 +622,43 @@ pub fn stream_events(
 /// What [`compact`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactStats {
-    /// Events the rewrite dropped from disk (now covered by the header).
-    pub dropped_events: u64,
     /// Journal bytes before the rewrite.
     pub bytes_before: u64,
     /// Journal bytes after the rewrite.
     pub bytes_after: u64,
+    /// Where the snapshot now sits: the end of the header line.
+    pub suffix_bytes: u64,
 }
 
 fn corrupt(message: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+}
+
+/// The line of `file` that ends, newline included, at byte `end`, without
+/// its newline, and whether it starts the file; `None` unless byte
+/// `end - 1` is a newline. It is read backwards in growing chunks, so no
+/// earlier line is read whole.
+fn line_ending_at(file: &File, end: u64) -> std::io::Result<Option<(Vec<u8>, bool)>> {
+    use std::os::unix::fs::FileExt;
+    if end == 0 || end > file.metadata()?.len() {
+        return Ok(None);
+    }
+    let mut chunk = 4096;
+    loop {
+        let start = end.saturating_sub(chunk);
+        let mut buf = vec![0; (end - start) as usize];
+        file.read_exact_at(&mut buf, start)?;
+        let Some(body) = buf.strip_suffix(b"\n") else {
+            return Ok(None);
+        };
+        if let Some(nl) = body.iter().rposition(|&b| b == b'\n') {
+            return Ok(Some((body[nl + 1..].to_vec(), false)));
+        }
+        if start == 0 {
+            return Ok(Some((body.to_vec(), true)));
+        }
+        chunk *= 4;
+    }
 }
 
 /// Rewrites the journal to drop the prefix `snapshot` covers, via the
@@ -423,8 +666,13 @@ fn corrupt(message: String) -> std::io::Error {
 /// line embedding the snapshot, then the raw bytes of everything past
 /// its boundary — uncommitted tail included, so in-flight arrivals keep
 /// their existing crash semantics), fsync the file, rename it over the
-/// journal, fsync the directory. Returns without touching the file when
-/// the snapshot covers nothing the journal still stores.
+/// journal, fsync the directory.
+///
+/// `at` is the mark of the commit boundary the snapshot sits at, which
+/// the caller kept when it wrote the snapshot. The one line read before
+/// it is the line ending there: the outcome line `at` names, or a
+/// compaction header embedding the snapshot, in which case the journal
+/// already starts there and is left untouched.
 ///
 /// The caller must not hold buffered writes on the journal and must
 /// reopen any [`JournalWriter`] afterwards (the rename changed the
@@ -432,32 +680,44 @@ fn corrupt(message: String) -> std::io::Error {
 ///
 /// # Errors
 ///
-/// `InvalidData` when `snapshot` does not sit bitwise on one of the
-/// journal's commit boundaries — compacting to an unverified state
-/// would silently corrupt every future recovery.
-pub fn compact(path: impl AsRef<Path>, snapshot: &Snapshot) -> std::io::Result<CompactStats> {
+/// `InvalidData` when `snapshot` does not sit bitwise on `at` — compacting
+/// to an unverified state would silently corrupt every future recovery.
+pub fn compact(
+    path: impl AsRef<Path>,
+    snapshot: &Snapshot,
+    at: &OutcomeMark,
+) -> std::io::Result<CompactStats> {
     let _compact_span = telemetry::hist!("journal.compact_ns").span();
     telemetry::counter!("journal.compactions").add(1);
     let path = path.as_ref();
-    let meta = scan_meta(path)?;
-    if snapshot.events <= meta.base_events() {
-        return Ok(CompactStats {
-            dropped_events: 0,
-            bytes_before: meta.committed_bytes + meta.discarded_bytes,
-            bytes_after: meta.committed_bytes + meta.discarded_bytes,
-        });
+    let mut src = File::open(path)?;
+    let bytes_before = src.metadata()?.len();
+    let anchor = if at.events == snapshot.events && at.digest == snapshot.digest {
+        line_ending_at(&src, at.bytes)?
+    } else {
+        None
+    };
+    match anchor.and_then(|(line, first)| parse_entry(&line, first)) {
+        Some(Entry::Header(base)) if base.events == at.events && base.digest == at.digest => {
+            return Ok(CompactStats {
+                bytes_before,
+                bytes_after: bytes_before,
+                suffix_bytes: at.bytes,
+            });
+        }
+        Some(Entry::Event(JournalEvent::Outcome { round, digest, .. }))
+            if round == at.round && digest == at.digest => {}
+        _ => {
+            return Err(corrupt(format!(
+                "compaction snapshot at event {} (digest {:016x}) does not sit on the \
+                 commit boundary at byte {} of {}",
+                snapshot.events,
+                snapshot.digest,
+                at.bytes,
+                path.display()
+            )))
+        }
     }
-    if !meta.snapshot_covers(snapshot) {
-        return Err(corrupt(format!(
-            "compaction snapshot at event {} (digest {:016x}) does not sit on a \
-             commit boundary of {}",
-            snapshot.events,
-            snapshot.digest,
-            path.display()
-        )));
-    }
-    let boundary = meta.replay_offset(snapshot);
-    let bytes_before = meta.committed_bytes + meta.discarded_bytes;
 
     let mut tmp = path.to_path_buf();
     let mut name = path
@@ -466,14 +726,13 @@ pub fn compact(path: impl AsRef<Path>, snapshot: &Snapshot) -> std::io::Result<C
         .unwrap_or_default();
     name.push(".compact.tmp");
     tmp.set_file_name(name);
+    let mut header = compact_header_line(snapshot);
+    header.push('\n');
     let bytes_after;
     {
         let mut out = BufWriter::new(File::create(&tmp)?);
-        let mut header = compact_header_line(snapshot);
-        header.push('\n');
         out.write_all(header.as_bytes())?;
-        let mut src = File::open(path)?;
-        src.seek(SeekFrom::Start(boundary))?;
+        src.seek(SeekFrom::Start(at.bytes))?;
         std::io::copy(&mut src, &mut out)?;
         out.flush()?;
         let file = out.into_inner().map_err(|e| e.into_error())?;
@@ -483,9 +742,9 @@ pub fn compact(path: impl AsRef<Path>, snapshot: &Snapshot) -> std::io::Result<C
     std::fs::rename(&tmp, path)?;
     fsync_parent_dir(path);
     Ok(CompactStats {
-        dropped_events: snapshot.events - meta.base_events(),
         bytes_before,
         bytes_after,
+        suffix_bytes: header.len() as u64,
     })
 }
 
@@ -759,8 +1018,8 @@ mod tests {
         let snap = boundary_snapshot(2);
         let before = std::fs::metadata(&path).unwrap().len();
         let pinned = File::open(&path).unwrap();
-        let stats = compact(&path, &snap).unwrap();
-        assert_eq!(stats.dropped_events, 8);
+        let at = scan_meta(&path).unwrap().outcomes[1];
+        let stats = compact(&path, &snap, &at).unwrap();
         assert_eq!(stats.bytes_before, before);
         assert!(stats.bytes_after < before);
         assert_ne!(
@@ -777,13 +1036,12 @@ mod tests {
             "suffix survives verbatim"
         );
         let meta = scan_meta(&path).unwrap();
-        assert_eq!(meta.base_events(), 8);
+        assert_eq!(meta.base_events(), 8, "the rewrite dropped 8 events");
         assert_eq!(meta.committed_events, 12);
         assert_eq!(meta.outcomes.len(), 1);
         assert_eq!(meta.outcomes[0].events, 12);
-        // The snapshot still covers: at its own (now-base) boundary.
-        assert!(meta.snapshot_covers(&snap));
-        assert_eq!(meta.replay_offset(&snap), meta.suffix_bytes);
+        // The snapshot now sits at its own (now-base) boundary.
+        assert_eq!(stats.suffix_bytes, meta.suffix_bytes);
         // The header renders as the first committed line.
         let lines = committed_prefix_lines(&path);
         assert!(
@@ -811,16 +1069,34 @@ mod tests {
         let path = temp_path("recompact");
         write_rounds(&path, 0..2);
         let snap1 = boundary_snapshot(1);
-        assert!(compact(&path, &snap1).unwrap().dropped_events == 4);
-        // Same snapshot again: covers nothing new, file untouched.
+        let stats = compact(&path, &snap1, &scan_meta(&path).unwrap().outcomes[0]).unwrap();
+        assert_eq!(scan_meta(&path).unwrap().base_events(), 4);
+        // Same snapshot again, now at the header's end: covers nothing
+        // new, file untouched.
+        let pinned = Commit::of(&File::open(&path).unwrap(), 0).unwrap();
         let len = std::fs::metadata(&path).unwrap().len();
-        let again = compact(&path, &snap1).unwrap();
-        assert_eq!(again.dropped_events, 0);
+        let at = OutcomeMark {
+            events: 4,
+            round: 0,
+            digest: snap1.digest,
+            bytes: stats.suffix_bytes,
+        };
+        let again = compact(&path, &snap1, &at).unwrap();
+        assert_eq!((again.bytes_before, again.bytes_after), (len, len));
+        assert_eq!(again.suffix_bytes, stats.suffix_bytes);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        assert_eq!(Commit::of(&File::open(&path).unwrap(), 0).unwrap(), pinned);
         // A later snapshot compacts on top of the previous base.
         write_rounds(&path, 2..4);
         let snap3 = boundary_snapshot(3);
-        assert_eq!(compact(&path, &snap3).unwrap().dropped_events, 8);
+        let meta = scan_meta(&path).unwrap();
+        let at = *meta.outcomes.iter().find(|m| m.events == 12).unwrap();
+        compact(&path, &snap3, &at).unwrap();
+        assert_eq!(
+            scan_meta(&path).unwrap().base_events(),
+            12,
+            "8 more dropped"
+        );
         let rec = scan_meta(&path).unwrap();
         assert_eq!(rec.base, Some(snap3));
         assert_eq!(committed_events(&path, &rec), round_events(3));
@@ -831,14 +1107,43 @@ mod tests {
     fn compaction_refuses_an_unanchored_snapshot() {
         let path = temp_path("badsnap");
         write_rounds(&path, 0..2);
+        let at = scan_meta(&path).unwrap().outcomes[0];
+        let before = std::fs::read(&path).unwrap();
         // Off-boundary event count.
         let mut snap = boundary_snapshot(1);
         snap.events = 3;
-        assert!(compact(&path, &snap).is_err());
+        assert!(compact(&path, &snap, &at).is_err());
         // Right count, wrong digest: a diverged history must be refused.
         let mut snap = boundary_snapshot(1);
         snap.digest ^= 1;
-        assert!(compact(&path, &snap).is_err());
+        assert!(compact(&path, &snap, &at).is_err());
+        // A mark whose digest agrees with the snapshot but not with the
+        // outcome line at its boundary.
+        let mut snap = boundary_snapshot(1);
+        snap.digest ^= 1;
+        let off = OutcomeMark {
+            digest: snap.digest,
+            ..at
+        };
+        assert!(compact(&path, &snap, &off).is_err());
+        // A mark that is not a line end, or lies past the file.
+        let snap = boundary_snapshot(1);
+        for bytes in [0, at.bytes - 1, at.bytes + 1, before.len() as u64 + 1] {
+            assert!(compact(&path, &snap, &OutcomeMark { bytes, ..at }).is_err());
+        }
+        // A mark on another round's outcome line.
+        let at2 = scan_meta(&path).unwrap().outcomes[1];
+        let wrong = OutcomeMark {
+            events: 4,
+            digest: snap.digest,
+            ..at2
+        };
+        assert!(compact(&path, &snap, &wrong).is_err());
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "nothing was rewritten"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -849,7 +1154,8 @@ mod tests {
         let mut w = JournalWriter::open_append(&path, 8, file_len(&path)).unwrap();
         w.append(&arrival(9, 2.2, 3)).unwrap(); // flushed, unsealed
         drop(w);
-        compact(&path, &boundary_snapshot(1)).unwrap();
+        let at = scan_meta(&path).unwrap().outcomes[0];
+        compact(&path, &boundary_snapshot(1), &at).unwrap();
         let meta = scan_meta(&path).unwrap();
         assert!(
             meta.discarded_bytes > 0,
@@ -865,7 +1171,7 @@ mod tests {
         let path = temp_path("compact-torn");
         write_rounds(&path, 0..2);
         let snap = boundary_snapshot(2);
-        compact(&path, &snap).unwrap();
+        compact(&path, &snap, &scan_meta(&path).unwrap().outcomes[1]).unwrap();
         // Tear everything after the header: the base alone remains.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -895,6 +1201,122 @@ mod tests {
         assert_eq!(rec.base, None);
         assert_eq!(committed_events(&path, &rec).len(), 4);
         assert!(rec.discarded_bytes > 0);
+        std::fs::remove_file(&path).ok();
+    }
+    /// What a recovery did to its sink, in order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Log {
+        restored: Vec<(u64, OutcomeMark)>,
+        applied: Vec<JournalEvent>,
+    }
+
+    impl Replay for Log {
+        fn restore(&mut self, snapshot: &Snapshot, at: OutcomeMark) {
+            self.restored.push((snapshot.events, at));
+            self.applied.clear();
+        }
+
+        fn apply(&mut self, event: &JournalEvent) -> std::io::Result<()> {
+            self.applied.push(event.clone());
+            Ok(())
+        }
+    }
+
+    /// Runs the recovery pass with every hold from 1 event up; each must
+    /// leave the sink and the marks as the default hold does.
+    fn replay_at_every_hold(path: &Path, snapshot: Option<Snapshot>) -> (Log, Recovery) {
+        let mut want = Log::default();
+        let (meta, rec) = pass(path, snapshot.clone(), Some(&mut want), HOLD_EVENTS).unwrap();
+        assert_eq!(
+            meta,
+            scan_meta(path).unwrap(),
+            "a replay marks as a scan does"
+        );
+        for hold in 1..6 {
+            let mut log = Log::default();
+            let (held_meta, held_rec) = pass(path, snapshot.clone(), Some(&mut log), hold).unwrap();
+            assert_eq!((&log, &held_meta), (&want, &meta), "hold {hold}");
+            assert!(held_rec.bytes_read >= rec.bytes_read, "hold {hold}");
+        }
+        (want, rec)
+    }
+
+    #[test]
+    fn recovery_applies_committed_rounds_at_any_hold() {
+        let path = temp_path("hold");
+        let all = write_rounds(&path, 0..3);
+        // An uncommitted round: two arrivals and a seal, no outcome.
+        let mut w = JournalWriter::open_append(&path, 12, file_len(&path)).unwrap();
+        for ev in &round_events(3)[..3] {
+            w.append(ev).unwrap();
+        }
+        drop(w);
+        let (log, rec) = replay_at_every_hold(&path, None);
+        assert_eq!(log.restored, []);
+        assert_eq!(log.applied, all);
+        assert_eq!(rec.base, Base::None);
+        assert_eq!(rec.events_replayed, 12);
+        assert_eq!(rec.bytes_read, file_len(&path), "one pass");
+        assert_eq!(rec.discarded_bytes, file_len(&path) - rec.committed_bytes);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recovery_fast_forwards_from_a_snapshot_on_a_commit_boundary() {
+        let path = temp_path("hold-snap");
+        let all = write_rounds(&path, 0..3);
+        let meta = scan_meta(&path).unwrap();
+        let (log, rec) = replay_at_every_hold(&path, Some(boundary_snapshot(2)));
+        assert_eq!(log.restored, [(8, meta.outcomes[1])]);
+        assert_eq!(log.applied, all[8..]);
+        assert_eq!((rec.base, rec.events_replayed), (Base::Snapshot, 4));
+        assert_eq!(rec.bytes_read, file_len(&path), "one pass");
+
+        // A snapshot off every boundary, or ahead of the journal, is
+        // ignored: a second pass replays from the start.
+        let mut off = boundary_snapshot(2);
+        off.digest ^= 1;
+        for snapshot in [off, boundary_snapshot(4)] {
+            let (log, rec) = replay_at_every_hold(&path, Some(snapshot));
+            assert_eq!(log.restored, []);
+            assert_eq!(log.applied, all);
+            assert_eq!((rec.base, rec.events_replayed), (Base::None, 12));
+            assert!(rec.bytes_read > file_len(&path), "a second pass");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recovery_restores_a_compaction_base() {
+        let path = temp_path("hold-base");
+        let all = write_rounds(&path, 0..3);
+        let base = boundary_snapshot(1);
+        compact(&path, &base, &scan_meta(&path).unwrap().outcomes[0]).unwrap();
+        let meta = scan_meta(&path).unwrap();
+        let at_base = OutcomeMark::of_base(&base, meta.suffix_bytes);
+        // No snapshot file, or one behind the base: the base.
+        let mut behind = boundary_snapshot(1);
+        behind.events = 2;
+        for snapshot in [None, Some(behind)] {
+            let (log, rec) = replay_at_every_hold(&path, snapshot);
+            assert_eq!(log.restored, [(4, at_base)]);
+            assert_eq!(log.applied, all[4..]);
+            assert_eq!((rec.base, rec.events_replayed), (Base::Compaction, 8));
+        }
+        // The snapshot file at the base wins the tie; one further ahead
+        // restores over it.
+        let (log, rec) = replay_at_every_hold(&path, Some(base.clone()));
+        assert_eq!(
+            (log.restored, rec.base),
+            (vec![(4, at_base)], Base::Snapshot)
+        );
+        let (log, rec) = replay_at_every_hold(&path, Some(boundary_snapshot(2)));
+        assert_eq!(log.restored, [(4, at_base), (8, meta.outcomes[0])]);
+        assert_eq!(log.applied, all[8..]);
+        assert_eq!(
+            (rec.base, rec.bytes_read),
+            (Base::Snapshot, file_len(&path))
+        );
         std::fs::remove_file(&path).ok();
     }
 }

@@ -208,5 +208,9 @@ awk -v r="$ratio" 'BEGIN {
 # here rather than first inside a benchmark run.
 python3 perfbench/test_run.py
 echo "ci: perfbench quick test ok"
+# perfbench's own unit tests (its package is outside the workspace, so the
+# workspace `cargo test` above does not run them), in the same build dir.
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
+echo "ci: perfbench unit tests ok"
 
 echo "ci: all green"

@@ -304,9 +304,15 @@ fn run() -> Result<(), String> {
             println!("{}", table.to_markdown());
             Ok(())
         }
-        "serve" => run_server(serve_config(&args, &args.addr)),
+        "serve" => {
+            ignore_file_size_limit_signal();
+            run_server(serve_config(&args, &args.addr))
+        }
         "drive" => drive(&args),
-        "follow" => follow(&args),
+        "follow" => {
+            ignore_file_size_limit_signal();
+            follow(&args)
+        }
         "attack" => attack(&args),
         "top" => top(&args),
         "telemetry-check" => telemetry_check(&args),
@@ -410,6 +416,22 @@ fn serve_config(args: &Args, addr: &str) -> ServeConfig {
         lovm: lovm_config(args),
         ingest: sustainable_fl::ingest::IngestConfig::from_env(),
     }
+}
+
+/// Ignores SIGXFSZ, so a journal write past the process's file-size limit
+/// (`ulimit -f`) fails with `EFBIG` instead of killing the server: the
+/// session that wrote it answers a named error and closes, and the next
+/// `hello` recovers its journal.
+fn ignore_file_size_limit_signal() {
+    const SIGXFSZ: i32 = 25;
+    const SIG_IGN: usize = 1;
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    // SAFETY: signal(2) from libc, which std links, with its C signature
+    // on Linux (`sighandler_t` is pointer-sized). SIG_IGN installs no
+    // handler code, so nothing runs in signal context.
+    unsafe { signal(SIGXFSZ, SIG_IGN) };
 }
 
 fn run_server(cfg: ServeConfig) -> Result<(), String> {

@@ -9,9 +9,14 @@
 //!
 //! The oracle for "what the prefix commits" is computed here from the
 //! raw bytes (complete `outcome` lines), independently of the journal
-//! crate's own scanner.
+//! crate's own scanner: each sweep checks the recovered state and the
+//! file, which must be the reference's bytes through that outcome line.
+//! Then single-pass recovery at its edges: an unparseable line before a
+//! snapshot, rounds and tails past the hold cap, and what
+//! [`MarketSession::recovery`] reports.
 
 use auction::bid::Bid;
+use journal::{Base, Recovery, HOLD_EVENTS};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,6 +128,17 @@ fn torn_write_property(snapshot_every: usize, tag: &str) {
             recovered.recovered_rounds(),
             rounds,
             "cut at byte {cut} must land on the last fully-sealed round"
+        );
+        let kept = outcome_line_ends
+            .iter()
+            .copied()
+            .filter(|&end| end <= cut)
+            .max()
+            .unwrap_or(0);
+        assert_eq!(
+            std::fs::read(&journal_path).unwrap(),
+            journal_bytes[..kept],
+            "recovery at cut {cut} truncates to the last outcome line"
         );
         let (want_digest, want_backlog) = if rounds == 0 {
             (journal::Digest::new().value(), 0.0)
@@ -253,6 +269,20 @@ fn torn_compacted_journal_always_recovers() {
             rounds,
             "cut at byte {cut} must land on the last committed round"
         );
+        let kept = if cut < header_end {
+            0
+        } else {
+            outcome_line_ends
+                .iter()
+                .copied()
+                .filter(|&end| end <= cut)
+                .fold(header_end, usize::max)
+        };
+        assert_eq!(
+            std::fs::read(&journal_path).unwrap(),
+            journal_bytes[..kept],
+            "recovery at cut {cut} truncates to the header or the last outcome line"
+        );
         let (want_digest, want_backlog) = if rounds == 0 {
             (journal::Digest::new().value(), 0.0)
         } else {
@@ -336,4 +366,198 @@ fn journal_and_snapshot_bytes_are_pinned() {
         [(2552, 0x9dc7f40ae928d4bc), (388, 0x7a546c69a7f60b4c)],
         "journal and snapshot (length, FNV-1a) with compaction every 3 rounds"
     );
+}
+
+/// The byte length of each line of `bytes`, newline included.
+fn line_lengths(bytes: &[u8]) -> Vec<usize> {
+    bytes
+        .split_inclusive(|&b| b == b'\n')
+        .map(<[u8]>::len)
+        .collect()
+}
+
+/// Lines one round of [`offers_for_round`] writes: arrivals, seal, outcome.
+const ROUND_LINES: usize = BIDDERS + 2;
+
+/// A newline-terminated line that does not parse, in round 1 of a 4-round
+/// journal whose snapshot sits after round 2, ends the committed prefix:
+/// the complete rounds after it do not count, the snapshot is never
+/// reached and is ignored, and recovery lands after round 0 with the file
+/// truncated to round 0's outcome line.
+#[test]
+fn an_unparseable_line_ends_the_prefix_before_the_snapshot() {
+    let dir = temp_dir("unparseable");
+    let cfg = session_cfg(&dir, 3);
+    let mut session = MarketSession::open(cfg.clone()).unwrap();
+    let outcomes = drive(&mut session, 0..ROUNDS);
+    drop(session);
+    let snapshot = journal::read_snapshot(dir.join("market.snapshot.json"))
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        snapshot.collector.next_round, 3,
+        "the snapshot follows round 2"
+    );
+
+    let journal_path = dir.join("market.jsonl");
+    let bytes = std::fs::read(&journal_path).unwrap();
+    let lengths = line_lengths(&bytes);
+    let round0_end: usize = lengths[..ROUND_LINES].iter().sum();
+    // Round 1's seal line, cut short but still newline-terminated.
+    let seal_start: usize = lengths[..ROUND_LINES + BIDDERS].iter().sum();
+    let seal_end = seal_start + lengths[ROUND_LINES + BIDDERS];
+    let mut damaged = bytes[..seal_start].to_vec();
+    damaged.extend_from_slice(b"{\"event\":\"seal\",\"round\":\n");
+    damaged.extend_from_slice(&bytes[seal_end..]);
+    std::fs::write(&journal_path, &damaged).unwrap();
+
+    let recovered = MarketSession::open(cfg).unwrap();
+    assert_eq!(recovered.recovered_rounds(), 1);
+    assert_eq!(recovered.digest(), outcomes[0].digest);
+    assert_eq!(recovered.backlog().to_bits(), outcomes[0].backlog.to_bits());
+    assert_eq!(recovered.recovery().base, Base::None);
+    assert_eq!(std::fs::read(&journal_path).unwrap(), bytes[..round0_end]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Offers `count` re-bids from the round's bidders at round `r`'s first
+/// arrival time; the collector keeps each bidder's freshest.
+fn rebid(session: &mut MarketSession, r: usize, count: usize) {
+    let offers = offers_for_round(r);
+    for k in 0..count {
+        let (at, bid) = offers[k % offers.len()];
+        session.offer(at, bid).unwrap();
+    }
+}
+
+/// A committed round of more events than recovery holds is read again
+/// once its outcome line parses, and an uncommitted tail of more arrivals
+/// than that is discarded: recovery lands on the last committed round,
+/// bit for bit, and the file keeps exactly the committed bytes.
+#[test]
+fn rounds_and_tails_past_the_hold_cap_recover() {
+    let dir = temp_dir("hold-cap");
+    let cfg = session_cfg(&dir, 0);
+    let mut session = MarketSession::open(cfg.clone()).unwrap();
+    drive(&mut session, 0..2);
+    let journal_path = dir.join("market.jsonl");
+    let before_big = std::fs::metadata(&journal_path).unwrap().len();
+    rebid(&mut session, 2, HOLD_EVENTS + 10);
+    let sealed = session.seal().unwrap();
+    let events = session.journal_events();
+    let committed = std::fs::read(&journal_path).unwrap();
+    rebid(&mut session, 3, HOLD_EVENTS + 10);
+    drop(session);
+    let tail = std::fs::metadata(&journal_path).unwrap().len() - committed.len() as u64;
+
+    let recovered = MarketSession::open(cfg.clone()).unwrap();
+    assert_eq!(recovered.recovered_rounds(), 3);
+    assert_eq!(recovered.digest(), sealed.digest);
+    assert_eq!(recovered.backlog().to_bits(), sealed.backlog.to_bits());
+    assert_eq!(std::fs::read(&journal_path).unwrap(), committed);
+    let big_round = committed.len() as u64 - before_big;
+    assert_eq!(
+        recovered.recovery(),
+        Recovery {
+            base: Base::None,
+            // Every line once, the big round's twice.
+            bytes_read: committed.len() as u64 + tail + big_round,
+            events_replayed: events,
+            discarded_bytes: tail,
+            committed_bytes: committed.len() as u64,
+            committed_events: events,
+        }
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovery reads each committed byte once — on a journal replayed from
+/// the start, one a snapshot covers, and a compacted one — and reports
+/// the base it started from and the events it replayed on top. A
+/// snapshot ahead of the journal costs the one allowed second pass.
+#[test]
+fn recovery_reads_the_committed_journal_once() {
+    let reopen = |cfg: &SessionConfig| {
+        let recovered = MarketSession::open(cfg.clone()).unwrap();
+        let len = std::fs::metadata(&cfg.journal).unwrap().len();
+        (recovered.recovery(), len)
+    };
+    let round_events = ROUND_LINES as u64;
+
+    // No snapshot: every event replays.
+    let plain = temp_dir("once-plain");
+    let cfg = session_cfg(&plain, 0);
+    drive(&mut MarketSession::open(cfg.clone()).unwrap(), 0..ROUNDS);
+    let (rec, len) = reopen(&cfg);
+    let all = ROUNDS as u64 * round_events;
+    assert_eq!(
+        rec,
+        Recovery {
+            base: Base::None,
+            bytes_read: len,
+            events_replayed: all,
+            discarded_bytes: 0,
+            committed_bytes: len,
+            committed_events: all,
+        }
+    );
+
+    // A snapshot after round 2: only round 3 replays.
+    let snap = temp_dir("once-snapshot");
+    let cfg = session_cfg(&snap, 3);
+    drive(&mut MarketSession::open(cfg.clone()).unwrap(), 0..ROUNDS);
+    let (rec, len) = reopen(&cfg);
+    assert_eq!(
+        rec,
+        Recovery {
+            base: Base::Snapshot,
+            bytes_read: len,
+            events_replayed: round_events,
+            discarded_bytes: 0,
+            committed_bytes: len,
+            committed_events: all,
+        }
+    );
+
+    // Compacted after round 3: the header's base, then round 4. The
+    // snapshot file sits at the base too, and wins the tie.
+    let compacted = temp_dir("once-compacted");
+    let mut cfg = session_cfg(&compacted, 2);
+    cfg.compact_every = 2;
+    drive(&mut MarketSession::open(cfg.clone()).unwrap(), 0..5);
+    let want = |base| Recovery {
+        base,
+        bytes_read: std::fs::metadata(&cfg.journal).unwrap().len(),
+        events_replayed: round_events,
+        discarded_bytes: 0,
+        committed_bytes: std::fs::metadata(&cfg.journal).unwrap().len(),
+        committed_events: 5 * round_events,
+    };
+    assert_eq!(reopen(&cfg).0, want(Base::Snapshot));
+    std::fs::remove_file(cfg.snapshot.as_ref().unwrap()).unwrap();
+    assert_eq!(reopen(&cfg).0, want(Base::Compaction));
+
+    // The snapshot after round 2 over a journal cut back to round 1: the
+    // first pass never meets it, and a second pass replays from the start.
+    let ahead = temp_dir("once-ahead");
+    let cfg = session_cfg(&ahead, 3);
+    drive(&mut MarketSession::open(cfg.clone()).unwrap(), 0..ROUNDS);
+    let bytes = std::fs::read(&cfg.journal).unwrap();
+    let two_rounds: usize = line_lengths(&bytes)[..2 * ROUND_LINES].iter().sum();
+    std::fs::write(&cfg.journal, &bytes[..two_rounds]).unwrap();
+    let (rec, len) = reopen(&cfg);
+    assert_eq!(
+        rec,
+        Recovery {
+            base: Base::None,
+            bytes_read: 2 * len,
+            events_replayed: 2 * round_events,
+            discarded_bytes: 0,
+            committed_bytes: len,
+            committed_events: 2 * round_events,
+        }
+    );
+    for dir in [plain, snap, compacted, ahead] {
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

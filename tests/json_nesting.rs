@@ -86,7 +86,8 @@ fn documents() -> Vec<(&'static str, String)> {
     drop(w);
     let mut snap = snapshot();
     snap.events = 3;
-    journal::compact(&path, &snap).unwrap();
+    let at = journal::scan_meta(&path).unwrap().outcomes[0];
+    journal::compact(&path, &snap, &at).unwrap();
     let committed = journal::scan_meta(&path).unwrap().committed_bytes as usize;
     let text = std::fs::read_to_string(&path).unwrap();
     let header = text[..committed].lines().next().unwrap().to_string();

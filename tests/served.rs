@@ -2,8 +2,9 @@
 //! restarted after a SIGKILL, and a follower promoted after its leader's,
 //! each continue byte-identically with a run that was never interrupted;
 //! hostile input is refused on its own connection while the same process
-//! keeps serving; telemetry only observes; and a follower that never reads
-//! costs its leader no memory.
+//! keeps serving; telemetry only observes; a follower that never reads
+//! costs its leader no memory; and a journal that reaches the process's
+//! file-size limit fails its session, not the server.
 //!
 //! Each child runs with a pinned environment. Readiness is the child's
 //! own `listening on` stdout line, and `Child::kill` is the SIGKILL.
@@ -31,7 +32,11 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// sealed rounds and compacting every `compact` (0: never), with nothing
 /// else inherited from the environment.
 fn lovm(journal: &Path, compact: usize) -> Command {
-    let mut cmd = Command::new(LOVM);
+    lovm_by(Command::new(LOVM), journal, compact)
+}
+
+/// `cmd`, which runs `lovm`, with [`lovm`]'s environment.
+fn lovm_by(mut cmd: Command, journal: &Path, compact: usize) -> Command {
     cmd.env_clear()
         .env("LOVM_JOURNAL", journal)
         .env("LOVM_SNAPSHOT_EVERY", "2")
@@ -400,5 +405,80 @@ fn telemetry_observes_a_served_session_without_changing_it() {
     );
     let written = std::fs::read_to_string(&records).unwrap();
     assert_eq!(written.lines().count(), 8, "one record per sealed round");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A bid request line for bidder `i` of round `r`.
+fn bid_request(r: usize, i: usize) -> String {
+    let at = r as f64 + (i as f64 + 0.5) / 256.0;
+    let cost = 0.6 + ((r * 7 + i * 3) % 11) as f64 * 0.21;
+    let data = 80 + (r * 13 + i * 29) % 300;
+    format!(r#"{{"cmd":"bid","at":{at},"bidder":{i},"cost":{cost},"data":{data},"quality":0.5}}"#)
+}
+
+/// `lovm serve` under a file-size limit: `ulimit -f 512` (256 KiB in
+/// dash's 512-byte blocks, 512 KiB in bash's 1 KiB ones). Driven
+/// lock-step until its journal reaches the limit, it answers an `error`
+/// instead of dying of SIGXFSZ; the same process still answers `stats`,
+/// and a new `hello` recovers the journal (truncating the line the limit
+/// cut short) and welcomes at the round and digest of the last `sealed`.
+#[test]
+fn a_journal_at_the_file_size_limit_fails_its_session_not_the_server() {
+    let root = temp_dir("file-size-limit");
+    let mut sh = Command::new("/bin/sh");
+    sh.args(["-c", "ulimit -f 512; exec \"$0\" \"$@\"", LOVM]);
+    let (mut server, addr) = Lovm::serve_by(lovm_by(sh, &root.join("limited"), 0));
+
+    let conn = TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(PATIENCE)).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut ask = |line: &str| {
+        (&conn).write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    assert!(ask(r#"{"cmd":"hello","session":"big"}"#).contains(r#""event":"welcome""#));
+    let (mut sealed, mut refused) = (None, None);
+    'rounds: for r in 0..400 {
+        let requests = (0..200).map(|i| bid_request(r, i));
+        for request in requests.chain([r#"{"cmd":"seal"}"#.to_string()]) {
+            let reply = ask(&request);
+            if reply.contains(r#""event":"error""#) {
+                refused = Some(reply);
+                break 'rounds;
+            }
+            if reply.contains(r#""event":"sealed""#) {
+                sealed = Some(reply);
+            }
+        }
+    }
+    let refused = refused.expect("the journal reached the limit");
+    assert!(refused.contains("File too large"), "{refused}");
+    let sealed = sealed.expect("rounds sealed before the limit");
+    let field = |line: &str, key: &str| {
+        let start = line.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+        let len = line[start..].find([',', '}']).unwrap();
+        line[start..start + len].trim_matches('"').to_string()
+    };
+    let round: usize = field(&sealed, "round").parse().unwrap();
+
+    assert!(
+        server.child.try_wait().unwrap().is_none(),
+        "lovm serve died at the file-size limit"
+    );
+    let stats = exchange(&addr, &[r#"{"cmd":"stats"}"#], 1);
+    assert!(stats[0].contains(r#""event":"stats""#), "{stats:?}");
+    // The failed connection frees the session as it closes.
+    let welcome = (0..500)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            exchange(&addr, &[r#"{"cmd":"hello","session":"big"}"#], 1).remove(0)
+        })
+        .find(|reply| reply.contains(r#""event":"welcome""#))
+        .expect("the session is released");
+    assert_eq!(field(&welcome, "rounds"), (round + 1).to_string());
+    assert_eq!(field(&welcome, "digest"), field(&sealed, "digest"));
+    drop(server);
     std::fs::remove_dir_all(&root).ok();
 }
