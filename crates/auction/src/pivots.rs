@@ -37,7 +37,7 @@
 //! keeps only the row and the saturation index `sat` at the start of each
 //! block that holds a target. Ahead of the backward sweep reaching such a
 //! block, its rows are replayed from that checkpoint: the same kernel
-//! ([`knapsack_step`]) on the same row bits, with the same `(gcost,
+//! (`knapsack_step`) on the same row bits, with the same `(gcost,
 //! weight)` sequence and the same `sat` trajectory. Each step's DP values
 //! are a deterministic function of exactly those inputs — IEEE-754 adds
 //! and compares, no fused or reassociated arithmetic — and never of the
@@ -133,7 +133,7 @@ pub fn leave_one_out_welfares_view_on(
 /// A serial caller (`LOVM_THREADS=1`) that keeps `arena` and `out` alive
 /// across rounds runs the hot engines (top-K splice, budgeted DP merge)
 /// with zero steady-state heap allocations. Parallel per-target fan-out
-/// gives each worker its own [`LooScratch`] via [`par::Pool::run_with`],
+/// gives each worker its own `LooScratch` via [`par::Pool::run_with`],
 /// so no buffer is shared and — per the pool's determinism contract — the
 /// welfares are bit-identical at any worker count. The `Naive` strategy
 /// and the fallback paths still allocate per call; they are reference /

@@ -28,7 +28,7 @@
 //!   lies in another plane, which this plane's cells never write.
 //!
 //! The cells are therefore independent, and any visiting order gives the
-//! same values and bits. The AVX2 compare span ([`compare_span_avx2`])
+//! same values and bits. The AVX2 compare span (`compare_span_avx2`)
 //! visits 4-cell chunks top-down and loads both operands of a chunk before
 //! storing it: a chunk at `c` reads source cells below `c + 4 - gc <= c +
 //! 4`, and the step has stored only cells at or above `c + 4`, so every
@@ -948,7 +948,7 @@ pub(crate) struct LooScratch {
 /// per-candidate `gc <= grid` test hoisted out of the cell loop, the
 /// saturated high-cost span collapsed to one representative comparison,
 /// the compare span four cells at a time on AVX2 — see
-/// [`knapsack_plane_step`]). Brute force only reaches 25 items, so the
+/// `knapsack_plane_step`). Brute force only reaches 25 items, so the
 /// textbook DP is kept as a test-only reference (`wdp::reference`) and a
 /// seeded differential sweep pins the contract above that size.
 ///

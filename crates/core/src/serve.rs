@@ -909,7 +909,7 @@ impl MarketServer {
     /// Accepts connections forever, one thread per connection: it reads,
     /// decides and answers on that thread. `TCP_NODELAY` is on, because
     /// the connection buffers its responses and each flush is one
-    /// deliberate burst (see [`handle_connection`]).
+    /// deliberate burst (see `handle_connection`).
     pub fn run(self) -> std::io::Result<()> {
         for stream in self.listener.incoming() {
             let Ok(stream) = stream else { continue };
@@ -1282,10 +1282,12 @@ fn feed_line_cap(held: usize) -> usize {
 }
 
 /// Keeps a live replica of session `name` from the leader feed it
-/// requests on `stream`: installs each bootstrap (see
-/// [`install_bootstrap`]) and replays each live line through
+/// requests on `stream`: installs each bootstrap in place of the replica's
+/// journal, crash-safely, and replays each live line through
 /// [`MarketSession::apply_replicated`], telling `on_commit` of both.
-/// Returns when the feed ends: the leader is gone.
+/// Returns when the feed ends. A leader that dies ends it, and so does one
+/// whose feed failed while it still serves; the caller tells the two apart
+/// by connecting again.
 ///
 /// # Errors
 ///
@@ -1338,28 +1340,25 @@ pub fn follow(
     }
 }
 
-/// Installs a bootstrap of `bytes` journal bytes from `feed`: they land in
-/// a temp file beside the journal and are fsynced; only then is the old
-/// `replica` dropped, the temp file renamed over the journal, and the
-/// replica reopened. Returns `None`, with the old journal in place, when
-/// the feed ends mid-bootstrap.
+/// Installs a bootstrap of `bytes` journal bytes from `feed` through
+/// [`journal::replace_file`]: they land in a temp file beside the journal,
+/// the old `replica` is dropped, and the temp file replaces the journal,
+/// which the replica then reopens. Returns `None`, with the old journal in
+/// place, when the feed ends mid-bootstrap.
 fn install_bootstrap(
     feed: &mut impl BufRead,
     bytes: u64,
     cfg: &SessionConfig,
     replica: Option<MarketSession>,
 ) -> std::io::Result<Option<MarketSession>> {
-    let mut tmp = cfg.journal.clone().into_os_string();
-    tmp.push(".bootstrap.tmp");
-    let mut file = File::create(&tmp)?;
-    if std::io::copy(&mut feed.by_ref().take(bytes), &mut file)? < bytes {
-        std::fs::remove_file(&tmp)?;
+    let whole = journal::replace_file(&cfg.journal, ".bootstrap.tmp", |file| {
+        let copied = std::io::copy(&mut feed.by_ref().take(bytes), file)?;
+        drop(replica);
+        Ok(copied == bytes)
+    })?;
+    if !whole {
         return Ok(None);
     }
-    file.sync_data()?;
-    drop(replica);
-    std::fs::rename(&tmp, &cfg.journal)?;
-    journal::fsync_parent_dir(&cfg.journal);
     MarketSession::open(cfg.clone()).map(Some)
 }
 
@@ -1492,13 +1491,18 @@ mod tests {
             comp_bytes * 4 < full_bytes,
             "compaction must bound the journal: {comp_bytes} vs {full_bytes} bytes"
         );
-        let meta = journal::scan_meta(comp_dir.join("market.jsonl")).unwrap();
-        let base = meta.base.clone().expect("a compacted journal has a base");
+        let mut opening = Opening {
+            cfg: &comp_cfg,
+            market: Market::new(&comp_cfg, None),
+            restored: None,
+        };
+        let rec = journal::recover(&comp_cfg.journal, None, &mut opening).unwrap();
+        let (base, _) = opening.restored.expect("a compacted journal has a base");
         assert!(base.events > 0, "the base must cover a nonempty prefix");
         assert!(
-            meta.committed_events - meta.base_events() <= 7 * 4,
+            rec.committed_events - base.events <= 7 * 4,
             "suffix holds {} events, more than the cadence bound",
-            meta.committed_events - meta.base_events()
+            rec.committed_events - base.events
         );
 
         // Crash with un-sealed arrivals in flight; the reopened session

@@ -10,9 +10,10 @@
 //! them, the torn or uncommitted tail is truncated, and a [`Snapshot`]
 //! taken at a sealed round fast-forwards replay once the outcome line it
 //! sits at verifies it — landing *bit-identically* on the last
-//! fully-sealed round without ever holding the log in memory.
-//! [`scan_meta`], [`recover_meta`] and [`stream_events`] read through the
-//! same line loop.
+//! fully-sealed round without ever holding the log in memory: its memory
+//! does not grow with the journal's length. Every pass over a journal —
+//! [`recover`], and the read-only [`scan_meta`] — reads through one line
+//! loop and returns one [`Recovery`].
 //!
 //! [`compact`] keeps long-lived journals bounded: once a snapshot
 //! commits, the covered prefix is rewritten away behind a header line
@@ -21,6 +22,10 @@
 //! event index is nonzero. The writer of the snapshot names its boundary
 //! by the mark it kept, so compaction reads no line before it but the
 //! outcome line it checks.
+//!
+//! [`replace_file`] is the one crash-safe replace of a whole file (temp
+//! file, `fdatasync`, rename, directory fsync): snapshots, compaction and
+//! a replica's bootstrap all go through it.
 //!
 //! Bit-exactness is inherited from `metrics::json`: every finite `f64`
 //! the writer renders parses back to the same bits, and the running
@@ -34,8 +39,8 @@ pub mod store;
 pub use event::JournalEvent;
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
 pub use store::{
-    compact, fsync_parent_dir, recover, recover_meta, scan_meta, stream_events, Base, Commit,
-    CompactStats, JournalMeta, JournalWriter, OutcomeMark, Recovery, Replay, HOLD_EVENTS,
+    compact, fsync_parent_dir, recover, recover_meta, replace_file, scan_meta, stream_events, Base,
+    Commit, CompactStats, JournalWriter, OutcomeMark, Recovery, Replay, HOLD_EVENTS,
 };
 
 /// Running FNV-1a digest over the bit patterns of a market trajectory.

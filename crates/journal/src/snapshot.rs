@@ -1,12 +1,12 @@
 //! Snapshot-at-sealed-round: the collector + mechanism state frozen at a
 //! commit boundary, so recovery replays only the journal tail.
 //!
-//! A snapshot is one JSON document written atomically (temp file +
-//! `rename`, both fsynced), so a crash mid-write leaves the previous
-//! snapshot intact. Reading is forgiving: a missing, unparsable, or
-//! version-mismatched snapshot reads as `None` and the caller falls back
-//! to replaying the journal from the start — the snapshot is an
-//! accelerator, never the source of truth.
+//! A snapshot is one JSON document written atomically (through
+//! [`crate::replace_file`]: temp file, fsync, `rename`, directory fsync),
+//! so a crash mid-write leaves the previous snapshot intact. Reading is
+//! forgiving: a missing, unparsable, or version-mismatched snapshot reads
+//! as `None` and the caller falls back to replaying the journal from the
+//! start — the snapshot is an accelerator, never the source of truth.
 
 use crate::event::{bid_to_json, decode_bid};
 use ingest::collector::AdmitClass;
@@ -181,32 +181,19 @@ fn class_from_name(name: &str) -> Option<AdmitClass> {
     }
 }
 
-/// Writes a snapshot atomically: temp file in the same directory, fsync,
-/// rename over the target, fsync the directory. A crash at any point
-/// leaves either the old snapshot or the new one, never a torn mix.
+/// Writes a snapshot atomically through [`crate::replace_file`]: a crash
+/// at any point leaves either the old snapshot or the new one, never a
+/// torn mix.
 pub fn write_snapshot(path: impl AsRef<Path>, snapshot: &Snapshot) -> std::io::Result<()> {
     use std::io::Write;
     let _snapshot_span = telemetry::hist!("journal.snapshot_ns").span();
     telemetry::counter!("journal.snapshots").add(1);
-    let path = path.as_ref();
-    let mut tmp = path.to_path_buf();
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(".tmp");
-    tmp.set_file_name(name);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        let mut doc = snapshot.to_json().to_string();
-        doc.push('\n');
+    let mut doc = snapshot.to_json().to_string();
+    doc.push('\n');
+    crate::replace_file(path.as_ref(), ".tmp", |file| {
         file.write_all(doc.as_bytes())?;
-        file.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    // Make the rename itself durable: without the directory fsync a
-    // crash can forget the entry even though the data was fsynced.
-    crate::store::fsync_parent_dir(path);
+        Ok(true)
+    })?;
     Ok(())
 }
 

@@ -1,5 +1,5 @@
 //! The append-only journal file: durable writes, torn-tail recovery,
-//! and prefix compaction.
+//! prefix compaction, and the one crash-safe file replace.
 //!
 //! **Durability contract.** Arrival lines are written and flushed (so the
 //! OS holds them), but only a seal commits: [`JournalWriter::sync`] runs
@@ -12,26 +12,32 @@
 //! replayed. A round's events are held until its outcome line parses and
 //! only then applied. Clients re-send bids the server never acknowledged
 //! a seal for; the collector's freshest-bid dedupe makes those re-sends
-//! idempotent. File *creation* and every rename are followed by a
-//! parent-directory fsync, so a crash right after cannot lose the
-//! directory entry of data already on stable storage.
+//! idempotent. File *creation* is followed by a parent-directory fsync,
+//! so a crash right after cannot lose the directory entry of data already
+//! on stable storage.
+//!
+//! **Replacing a file.** [`replace_file`] is the one way a whole file is
+//! swapped: the new bytes go to a temp file beside it, which is fsynced,
+//! renamed over the target, and followed by a directory fsync. A crash at
+//! any instant leaves either the old file or the new one, never a torn
+//! mix, and a write that fails or is abandoned leaves no temp file.
+//! Snapshots, compaction and a follower's bootstrap all go through it.
 //!
 //! **Compaction.** [`compact`] bounds the journal to the suffix a
-//! snapshot does not cover: it writes a header line embedding the
-//! snapshot itself (so the compacted journal stays *self-contained* —
-//! recovery never depends on the separate snapshot file surviving),
-//! followed by the raw bytes of every event past the snapshot boundary,
-//! to a temp file in the same directory; fsyncs it; renames it over the
-//! journal; and fsyncs the directory. A crash at any instant leaves
-//! either the old journal or the new one, never a torn mix. The caller
-//! names the boundary by the [`OutcomeMark`] it kept when it wrote the
-//! snapshot, so compaction reads no line before it but the one outcome
-//! line it checks the snapshot against. A scan of a compacted journal
-//! reports the header as [`JournalMeta::base`] and indexes events from the
-//! base offset onward.
+//! snapshot does not cover: it replaces the journal with a header line
+//! embedding the snapshot itself (so the compacted journal stays
+//! *self-contained* — recovery never depends on the separate snapshot
+//! file surviving), followed by the raw bytes of every event past the
+//! snapshot boundary. The caller names the boundary by the
+//! [`OutcomeMark`] it kept when it wrote the snapshot, so compaction reads
+//! no line before it but the one outcome line it checks the snapshot
+//! against. Recovery of a compacted journal restores the header's
+//! snapshot and reports where the events after it start as
+//! [`Recovery::suffix_bytes`].
 //!
 //! Every reader here — [`scan_meta`], [`recover_meta`], [`stream_events`]
-//! and [`recover`] — reads through one line loop.
+//! and [`recover`] — reads through one line loop, and every pass that finds
+//! the commit point returns the one result type, [`Recovery`].
 
 use crate::event::JournalEvent;
 use crate::snapshot::Snapshot;
@@ -52,6 +58,36 @@ pub fn fsync_parent_dir(path: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
+}
+
+/// Replaces the file at `path` crash-safely. `write` fills a new temp file
+/// beside it, named `path` with `suffix` appended, and returns `false` to
+/// abandon it. A whole write is fsynced (`fdatasync`), renamed over
+/// `path`, and the directory fsynced. An abandoned or failed write removes
+/// the temp file and leaves `path` as it was. Returns whether `path` was
+/// replaced.
+pub fn replace_file(
+    path: &Path,
+    suffix: &str,
+    write: impl FnOnce(&mut File) -> std::io::Result<bool>,
+) -> std::io::Result<bool> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(suffix);
+    let tmp = PathBuf::from(tmp);
+    let mut file = File::create(&tmp)?;
+    let replaced = write(&mut file).and_then(|whole| {
+        if whole {
+            file.sync_data()?;
+            std::fs::rename(&tmp, path)?;
+        }
+        Ok(whole)
+    });
+    if let Ok(true) = replaced {
+        fsync_parent_dir(path);
+    } else {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    replaced
 }
 
 /// How far a journal file is committed: through byte `bytes` of the file
@@ -293,7 +329,7 @@ impl Lines {
 }
 
 // ---------------------------------------------------------------------
-// Scanning and recovery: one pass, per-round marks.
+// Scanning and recovery: one pass, one result.
 // ---------------------------------------------------------------------
 
 /// Byte/event coordinates of one committed outcome line: where a snapshot
@@ -324,48 +360,6 @@ impl OutcomeMark {
     }
 }
 
-/// What a scan learns about a journal file: the commit boundary, the
-/// compaction base (if any), and one 32-byte [`OutcomeMark`] per committed
-/// round in the file. The events themselves are not kept.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalMeta {
-    /// The snapshot a compaction header embedded, if the journal was
-    /// compacted: events before `base.events` were dropped from disk and
-    /// live only as this state summary.
-    pub base: Option<Snapshot>,
-    /// Byte offset where event lines start (just past the header line;
-    /// 0 when there is no header).
-    pub suffix_bytes: u64,
-    /// Byte length of the committed prefix (header included).
-    pub committed_bytes: u64,
-    /// Logical committed event count, compacted prefix included.
-    pub committed_events: u64,
-    /// Bytes past the commit point (torn lines, unsealed arrivals, a
-    /// dangling seal) that recovery discards.
-    pub discarded_bytes: u64,
-    /// One mark per committed outcome line, in order.
-    pub outcomes: Vec<OutcomeMark>,
-}
-
-impl JournalMeta {
-    fn empty() -> JournalMeta {
-        JournalMeta {
-            base: None,
-            suffix_bytes: 0,
-            committed_bytes: 0,
-            committed_events: 0,
-            discarded_bytes: 0,
-            outcomes: Vec::new(),
-        }
-    }
-
-    /// Logical event count the compacted-away prefix holds (0 when the
-    /// journal was never compacted).
-    pub fn base_events(&self) -> u64 {
-        self.base.as_ref().map_or(0, |s| s.events)
-    }
-}
-
 /// What a recovery rebuilds from a journal.
 pub trait Replay {
     /// Starts over from `snapshot`, which sits at `at`: a compaction base,
@@ -376,9 +370,10 @@ pub trait Replay {
 }
 
 /// Where a recovered state came from before replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Base {
     /// An empty market: replay started at the first event.
+    #[default]
     None,
     /// The compaction header's embedded snapshot.
     Compaction,
@@ -386,8 +381,10 @@ pub enum Base {
     Snapshot,
 }
 
-/// What one [`recover`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one pass over a journal found and did: the commit boundary, where
+/// the events past a compaction header start, and what a replay re-applied.
+/// The events themselves are not kept.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Recovery {
     /// The state replay started from.
     pub base: Base,
@@ -396,9 +393,13 @@ pub struct Recovery {
     pub bytes_read: u64,
     /// Events re-applied on top of the base.
     pub events_replayed: u64,
-    /// Bytes past the commit point that were truncated away.
+    /// Bytes past the commit point (torn lines, unsealed arrivals, a
+    /// dangling seal): truncated away by a recovery, left by a scan.
     pub discarded_bytes: u64,
-    /// The committed byte length, which the file now has.
+    /// Byte offset where event lines start: just past the compaction
+    /// header, 0 when there is none.
+    pub suffix_bytes: u64,
+    /// The committed byte length, header included.
     pub committed_bytes: u64,
     /// Logical committed event count, compacted prefix included.
     pub committed_events: u64,
@@ -411,19 +412,18 @@ pub struct Recovery {
 pub const HOLD_EVENTS: usize = 1 << 14;
 
 /// Scans a journal in one buffered pass without modifying it (see
-/// [`recover_meta`] for the truncating variant), keeping only per-round
-/// marks in memory. A missing file reads as an empty journal.
-pub fn scan_meta(path: impl AsRef<Path>) -> std::io::Result<JournalMeta> {
-    pass(path.as_ref(), None, None, HOLD_EVENTS).map(|(meta, _)| meta)
+/// [`recover_meta`] for the truncating variant): the commit boundary, and
+/// the compaction base as [`Base::Compaction`]. A missing file reads as an
+/// empty journal.
+pub fn scan_meta(path: impl AsRef<Path>) -> std::io::Result<Recovery> {
+    pass(path.as_ref(), None, None, HOLD_EVENTS)
 }
 
 /// Recovers a journal in place: scans for the committed prefix and
 /// truncates the file to it, so torn or uncommitted trailing lines can
 /// never be replayed.
-pub fn recover_meta(path: impl AsRef<Path>) -> std::io::Result<JournalMeta> {
-    let mut meta = scan_meta(path.as_ref())?;
-    truncate_tail(path.as_ref(), &mut meta)?;
-    Ok(meta)
+pub fn recover_meta(path: impl AsRef<Path>) -> std::io::Result<Recovery> {
+    truncate_tail(path.as_ref(), scan_meta(path.as_ref())?)
 }
 
 /// Recovers a journal in place and replays it into `sink`, reading each
@@ -446,41 +446,30 @@ pub fn recover(
     sink: &mut impl Replay,
 ) -> std::io::Result<Recovery> {
     let path = path.as_ref();
-    let (mut meta, recovery) = pass(path, snapshot, Some(sink), HOLD_EVENTS)?;
-    truncate_tail(path, &mut meta)?;
-    Ok(recovery)
+    truncate_tail(path, pass(path, snapshot, Some(sink), HOLD_EVENTS)?)
 }
 
-/// Truncates the file to `meta`'s committed prefix if it holds more.
-fn truncate_tail(path: &Path, meta: &mut JournalMeta) -> std::io::Result<()> {
-    if meta.discarded_bytes > 0 {
+/// Truncates the file to `rec`'s committed prefix if it holds more.
+fn truncate_tail(path: &Path, rec: Recovery) -> std::io::Result<Recovery> {
+    if rec.discarded_bytes > 0 {
         let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(meta.committed_bytes)?;
+        file.set_len(rec.committed_bytes)?;
         file.sync_data()?;
-        meta.discarded_bytes = 0;
     }
-    Ok(())
+    Ok(rec)
 }
 
 /// The one pass behind [`scan_meta`] and [`recover`] (see there), holding
-/// at most `hold` events; without a sink it only marks.
+/// at most `hold` events; without a sink it only finds the commit point.
 fn pass(
     path: &Path,
     snapshot: Option<Snapshot>,
     mut sink: Option<&mut dyn Replay>,
     hold: usize,
-) -> std::io::Result<(JournalMeta, Recovery)> {
-    let mut meta = JournalMeta::empty();
-    let mut rec = Recovery {
-        base: Base::None,
-        bytes_read: 0,
-        events_replayed: 0,
-        discarded_bytes: 0,
-        committed_bytes: 0,
-        committed_events: 0,
-    };
+) -> std::io::Result<Recovery> {
+    let mut rec = Recovery::default();
     let Some(mut lines) = Lines::open(path, 0)? else {
-        return Ok((meta, rec));
+        return Ok(rec);
     };
     let total_bytes = lines.reader.get_ref().metadata()?.len();
     // The snapshot file while the outcome line it claims is still ahead.
@@ -490,15 +479,15 @@ fn pass(
     let mut overflow = false;
     let mut events = 0;
     while let Some(entry) = lines.next()? {
-        let round_start = meta.committed_bytes;
+        let round_start = rec.committed_bytes;
         let event = match entry {
             Entry::Header(base) => {
                 events = base.events;
-                meta.suffix_bytes = lines.offset;
+                rec.suffix_bytes = lines.offset;
                 // The header commits by construction: compaction fsyncs
                 // it before the rename that makes it visible.
-                meta.committed_bytes = lines.offset;
-                meta.committed_events = events;
+                rec.committed_bytes = lines.offset;
+                rec.committed_events = events;
                 // At the base's own boundary the snapshot file wins.
                 let file = ahead
                     .take_if(|f| f.events <= base.events)
@@ -514,7 +503,6 @@ fn pass(
                 } else {
                     Base::Compaction
                 };
-                meta.base = Some(base);
                 continue;
             }
             Entry::Event(event) => event,
@@ -538,9 +526,8 @@ fn pass(
             }
         }
         let Some(mark) = mark else { continue };
-        meta.committed_bytes = mark.bytes;
-        meta.committed_events = events;
-        meta.outcomes.push(mark);
+        rec.committed_bytes = mark.bytes;
+        rec.committed_events = events;
         let Some(sink) = sink.as_deref_mut() else {
             continue;
         };
@@ -551,7 +538,7 @@ fn pass(
             } else {
                 // The snapshot sits on no commit boundary: replay what it
                 // skipped from the base after all.
-                replay_range(path, meta.suffix_bytes, mark.bytes, sink, &mut rec)?;
+                replay_range(path, rec.suffix_bytes, mark.bytes, sink, &mut rec)?;
             }
         } else if ahead.is_none() {
             if overflow {
@@ -565,20 +552,12 @@ fn pass(
     }
     if let (Some(_), Some(sink)) = (ahead, sink) {
         // The snapshot is ahead of the journal's commit point.
-        replay_range(
-            path,
-            meta.suffix_bytes,
-            meta.committed_bytes,
-            sink,
-            &mut rec,
-        )?;
+        let (from, to) = (rec.suffix_bytes, rec.committed_bytes);
+        replay_range(path, from, to, sink, &mut rec)?;
     }
-    meta.discarded_bytes = total_bytes - meta.committed_bytes;
+    rec.discarded_bytes = total_bytes - rec.committed_bytes;
     rec.bytes_read += lines.read;
-    rec.discarded_bytes = meta.discarded_bytes;
-    rec.committed_bytes = meta.committed_bytes;
-    rec.committed_events = meta.committed_events;
-    Ok((meta, rec))
+    Ok(rec)
 }
 
 /// Applies the committed events in `[from, to)` to `sink` in a second
@@ -602,7 +581,8 @@ fn replay_range(
 /// Streams the committed events in `[from_bytes, to_bytes)` to `f` in
 /// file order, one buffered line at a time — replay for journals of any
 /// size without slurping them. The range must lie on line boundaries
-/// inside the committed prefix (as [`JournalMeta`] offsets do).
+/// inside the committed prefix, as [`Recovery::suffix_bytes`] and
+/// [`Recovery::committed_bytes`] do.
 pub fn stream_events(
     path: impl AsRef<Path>,
     from_bytes: u64,
@@ -661,12 +641,10 @@ fn line_ending_at(file: &File, end: u64) -> std::io::Result<Option<(Vec<u8>, boo
     }
 }
 
-/// Rewrites the journal to drop the prefix `snapshot` covers, via the
-/// crash-safe dance: write a temp file in the same directory (header
-/// line embedding the snapshot, then the raw bytes of everything past
-/// its boundary — uncommitted tail included, so in-flight arrivals keep
-/// their existing crash semantics), fsync the file, rename it over the
-/// journal, fsync the directory.
+/// Rewrites the journal to drop the prefix `snapshot` covers, through
+/// [`replace_file`]: a header line embedding the snapshot, then the raw
+/// bytes of everything past its boundary — uncommitted tail included, so
+/// in-flight arrivals keep their existing crash semantics.
 ///
 /// `at` is the mark of the commit boundary the snapshot sits at, which
 /// the caller kept when it wrote the snapshot. The one line read before
@@ -719,28 +697,17 @@ pub fn compact(
         }
     }
 
-    let mut tmp = path.to_path_buf();
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(".compact.tmp");
-    tmp.set_file_name(name);
     let mut header = compact_header_line(snapshot);
     header.push('\n');
-    let bytes_after;
-    {
-        let mut out = BufWriter::new(File::create(&tmp)?);
+    let mut bytes_after = 0;
+    replace_file(path, ".compact.tmp", |file| {
+        let mut out = BufWriter::new(file);
         out.write_all(header.as_bytes())?;
         src.seek(SeekFrom::Start(at.bytes))?;
-        std::io::copy(&mut src, &mut out)?;
+        bytes_after = header.len() as u64 + std::io::copy(&mut src, &mut out)?;
         out.flush()?;
-        let file = out.into_inner().map_err(|e| e.into_error())?;
-        file.sync_data()?;
-        bytes_after = file.metadata()?.len();
-    }
-    std::fs::rename(&tmp, path)?;
-    fsync_parent_dir(path);
+        Ok(true)
+    })?;
     Ok(CompactStats {
         bytes_before,
         bytes_after,
@@ -765,6 +732,10 @@ mod tests {
             std::process::id()
         ))
     }
+
+    /// The `round_events` fixture's digest after round 0; round `r`'s is
+    /// this with `r` xored in.
+    const DIGEST: u64 = 0x1234_5678_9abc_def0;
 
     fn arrival(seq: u64, at: f64, bidder: usize) -> JournalEvent {
         JournalEvent::Arrival {
@@ -795,7 +766,7 @@ mod tests {
                 virtual_welfare: 4.2,
                 spend: 1.3,
                 backlog: 0.5 + round as f64,
-                digest: 0x1234_5678_9abc_def0 ^ round as u64,
+                digest: DIGEST ^ round as u64,
             },
         ]
     }
@@ -815,16 +786,16 @@ mod tests {
             backlog: 0.5 + (rounds - 1) as f64,
             welfare: 4.2 * rounds as f64,
             spend: 1.3 * rounds as f64,
-            digest: 0x1234_5678_9abc_def0 ^ (rounds - 1) as u64,
+            digest: DIGEST ^ (rounds - 1) as u64,
             totals: ingest::StreamTotals::default(),
         }
     }
 
-    /// The committed events `meta` spans past the compaction header, read
+    /// The committed events `rec` spans past the compaction header, read
     /// the way recovery reads them.
-    fn committed_events(path: &Path, meta: &JournalMeta) -> Vec<JournalEvent> {
+    fn committed_events(path: &Path, rec: &Recovery) -> Vec<JournalEvent> {
         let mut events = Vec::new();
-        stream_events(path, meta.suffix_bytes, meta.committed_bytes, |ev| {
+        stream_events(path, rec.suffix_bytes, rec.committed_bytes, |ev| {
             events.push(ev.clone());
             Ok(())
         })
@@ -847,39 +818,78 @@ mod tests {
             .collect()
     }
 
-    fn write_rounds(path: &Path, rounds: std::ops::Range<usize>) -> Vec<JournalEvent> {
+    /// Writes `rounds` of the fixture, one sync per round. Returns the
+    /// events and each round's outcome mark, taken from the writer's
+    /// commit after its sync, as a serve session takes a snapshot's.
+    fn write_rounds(
+        path: &Path,
+        rounds: std::ops::Range<usize>,
+    ) -> (Vec<JournalEvent>, Vec<OutcomeMark>) {
         let mut w = if rounds.start == 0 {
             JournalWriter::create(path).unwrap()
         } else {
             JournalWriter::open_append(path, rounds.start as u64 * 4, file_len(path)).unwrap()
         };
-        let mut all = Vec::new();
+        let (mut all, mut marks) = (Vec::new(), Vec::new());
         for r in rounds {
             for ev in round_events(r) {
                 w.append(&ev).unwrap();
                 all.push(ev);
             }
             w.sync().unwrap();
+            marks.push(OutcomeMark {
+                events: w.events(),
+                round: r,
+                digest: DIGEST ^ r as u64,
+                bytes: w.commit().bytes,
+            });
         }
-        all
+        (all, marks)
+    }
+
+    /// What a recovery did to its sink, in order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Log {
+        restored: Vec<(Snapshot, OutcomeMark)>,
+        applied: Vec<JournalEvent>,
+    }
+
+    impl Replay for Log {
+        fn restore(&mut self, snapshot: &Snapshot, at: OutcomeMark) {
+            self.restored.push((snapshot.clone(), at));
+            self.applied.clear();
+        }
+
+        fn apply(&mut self, event: &JournalEvent) -> std::io::Result<()> {
+            self.applied.push(event.clone());
+            Ok(())
+        }
+    }
+
+    /// The compaction base a replay of `path` restores, read without
+    /// truncating the file.
+    fn base_of(path: &Path) -> Option<Snapshot> {
+        let mut log = Log::default();
+        pass(path, None, Some(&mut log), HOLD_EVENTS).unwrap();
+        log.restored
+            .into_iter()
+            .next()
+            .map(|(snapshot, _)| snapshot)
     }
 
     #[test]
     fn write_scan_round_trips() {
         let path = temp_path("roundtrip");
-        let all = write_rounds(&path, 0..3);
+        let (all, marks) = write_rounds(&path, 0..3);
         let rec = scan_meta(&path).unwrap();
         assert_eq!(committed_events(&path, &rec), all);
-        assert_eq!(rec.base, None);
+        assert_eq!(rec.base, Base::None);
         assert_eq!(rec.discarded_bytes, 0);
-        let meta = scan_meta(&path).unwrap();
-        assert_eq!(meta.committed_events, 12);
-        assert_eq!(meta.suffix_bytes, 0);
-        assert_eq!(meta.outcomes.len(), 3);
-        assert_eq!(meta.outcomes[2].events, 12);
-        assert_eq!(meta.outcomes[2].round, 2);
+        assert_eq!(rec.committed_events, 12);
+        assert_eq!(rec.suffix_bytes, 0);
+        assert_eq!(marks[2].events, rec.committed_events);
         assert_eq!(
-            meta.outcomes[2].bytes, meta.committed_bytes,
+            marks[2].bytes, rec.committed_bytes,
             "last outcome mark ends the committed prefix"
         );
         std::fs::remove_file(&path).ok();
@@ -896,7 +906,7 @@ mod tests {
     #[test]
     fn uncommitted_tail_is_discarded_and_truncated() {
         let path = temp_path("tail");
-        let committed = write_rounds(&path, 0..1);
+        let (committed, _) = write_rounds(&path, 0..1);
         // A round in flight: two arrivals and a seal, but no outcome —
         // then the crash. Recovery must land on round 0.
         let mut w = JournalWriter::open_append(&path, 4, file_len(&path)).unwrap();
@@ -920,6 +930,7 @@ mod tests {
         let after = std::fs::metadata(&path).unwrap().len();
         assert_eq!(after, rec.committed_bytes);
         assert!(after < before);
+        assert_eq!(rec.discarded_bytes, before - after);
         // A second recovery is a no-op fixpoint: same committed prefix,
         // nothing left to discard.
         let again = recover_meta(&path).unwrap();
@@ -957,7 +968,7 @@ mod tests {
     #[test]
     fn committed_lines_match_event_rendering() {
         let path = temp_path("lines");
-        let events = write_rounds(&path, 0..1);
+        let (events, _) = write_rounds(&path, 0..1);
         let lines = committed_prefix_lines(&path);
         let expect: Vec<String> = events.iter().map(JournalEvent::to_line).collect();
         assert_eq!(lines, expect);
@@ -997,9 +1008,9 @@ mod tests {
     #[test]
     fn stream_events_matches_scan_over_any_boundary() {
         let path = temp_path("stream");
-        let all = write_rounds(&path, 0..3);
+        let (all, marks) = write_rounds(&path, 0..3);
         let meta = scan_meta(&path).unwrap();
-        for (i, mark) in meta.outcomes.iter().enumerate() {
+        for (i, mark) in marks.iter().enumerate() {
             let mut tail = Vec::new();
             stream_events(&path, mark.bytes, meta.committed_bytes, |ev| {
                 tail.push(ev.clone());
@@ -1014,14 +1025,14 @@ mod tests {
     #[test]
     fn compaction_drops_the_covered_prefix_and_stays_recoverable() {
         let path = temp_path("compact");
-        let all = write_rounds(&path, 0..3);
+        let (all, marks) = write_rounds(&path, 0..3);
         let snap = boundary_snapshot(2);
         let before = std::fs::metadata(&path).unwrap().len();
         let pinned = File::open(&path).unwrap();
-        let at = scan_meta(&path).unwrap().outcomes[1];
-        let stats = compact(&path, &snap, &at).unwrap();
+        let stats = compact(&path, &snap, &marks[1]).unwrap();
         assert_eq!(stats.bytes_before, before);
         assert!(stats.bytes_after < before);
+        assert_eq!(stats.bytes_after, file_len(&path));
         assert_ne!(
             Commit::of(&File::open(&path).unwrap(), 0).unwrap(),
             Commit::of(&pinned, 0).unwrap(),
@@ -1029,19 +1040,17 @@ mod tests {
         );
 
         let rec = scan_meta(&path).unwrap();
-        assert_eq!(rec.base, Some(snap.clone()));
+        assert_eq!(base_of(&path), Some(snap.clone()));
+        assert_eq!(snap.events, 8, "the rewrite dropped 8 events");
         assert_eq!(
             committed_events(&path, &rec),
             all[8..].to_vec(),
             "suffix survives verbatim"
         );
-        let meta = scan_meta(&path).unwrap();
-        assert_eq!(meta.base_events(), 8, "the rewrite dropped 8 events");
-        assert_eq!(meta.committed_events, 12);
-        assert_eq!(meta.outcomes.len(), 1);
-        assert_eq!(meta.outcomes[0].events, 12);
+        assert_eq!(rec.base, Base::Compaction);
+        assert_eq!(rec.committed_events, 12);
         // The snapshot now sits at its own (now-base) boundary.
-        assert_eq!(stats.suffix_bytes, meta.suffix_bytes);
+        assert_eq!(stats.suffix_bytes, rec.suffix_bytes);
         // The header renders as the first committed line.
         let lines = committed_prefix_lines(&path);
         assert!(
@@ -1053,7 +1062,7 @@ mod tests {
 
         // Appending continues the logical numbering.
         let mut w =
-            JournalWriter::open_append(&path, meta.committed_events, meta.committed_bytes).unwrap();
+            JournalWriter::open_append(&path, rec.committed_events, rec.committed_bytes).unwrap();
         for ev in round_events(3) {
             w.append(&ev).unwrap();
         }
@@ -1067,10 +1076,10 @@ mod tests {
     #[test]
     fn compaction_is_idempotent_and_layers() {
         let path = temp_path("recompact");
-        write_rounds(&path, 0..2);
+        let (_, marks) = write_rounds(&path, 0..2);
         let snap1 = boundary_snapshot(1);
-        let stats = compact(&path, &snap1, &scan_meta(&path).unwrap().outcomes[0]).unwrap();
-        assert_eq!(scan_meta(&path).unwrap().base_events(), 4);
+        let stats = compact(&path, &snap1, &marks[0]).unwrap();
+        assert_eq!(base_of(&path).map(|s| s.events), Some(4));
         // Same snapshot again, now at the header's end: covers nothing
         // new, file untouched.
         let pinned = Commit::of(&File::open(&path).unwrap(), 0).unwrap();
@@ -1087,18 +1096,13 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
         assert_eq!(Commit::of(&File::open(&path).unwrap(), 0).unwrap(), pinned);
         // A later snapshot compacts on top of the previous base.
-        write_rounds(&path, 2..4);
+        let (_, marks) = write_rounds(&path, 2..4);
         let snap3 = boundary_snapshot(3);
-        let meta = scan_meta(&path).unwrap();
-        let at = *meta.outcomes.iter().find(|m| m.events == 12).unwrap();
+        let at = *marks.iter().find(|m| m.events == 12).unwrap();
         compact(&path, &snap3, &at).unwrap();
-        assert_eq!(
-            scan_meta(&path).unwrap().base_events(),
-            12,
-            "8 more dropped"
-        );
+        assert_eq!(base_of(&path).map(|s| s.events), Some(12), "8 more dropped");
         let rec = scan_meta(&path).unwrap();
-        assert_eq!(rec.base, Some(snap3));
+        assert_eq!(base_of(&path), Some(snap3));
         assert_eq!(committed_events(&path, &rec), round_events(3));
         std::fs::remove_file(&path).ok();
     }
@@ -1106,8 +1110,8 @@ mod tests {
     #[test]
     fn compaction_refuses_an_unanchored_snapshot() {
         let path = temp_path("badsnap");
-        write_rounds(&path, 0..2);
-        let at = scan_meta(&path).unwrap().outcomes[0];
+        let (_, marks) = write_rounds(&path, 0..2);
+        let at = marks[0];
         let before = std::fs::read(&path).unwrap();
         // Off-boundary event count.
         let mut snap = boundary_snapshot(1);
@@ -1132,11 +1136,10 @@ mod tests {
             assert!(compact(&path, &snap, &OutcomeMark { bytes, ..at }).is_err());
         }
         // A mark on another round's outcome line.
-        let at2 = scan_meta(&path).unwrap().outcomes[1];
         let wrong = OutcomeMark {
             events: 4,
             digest: snap.digest,
-            ..at2
+            ..marks[1]
         };
         assert!(compact(&path, &snap, &wrong).is_err());
         assert_eq!(
@@ -1150,12 +1153,11 @@ mod tests {
     #[test]
     fn compaction_preserves_the_uncommitted_tail() {
         let path = temp_path("compact-tail");
-        write_rounds(&path, 0..2);
+        let (_, marks) = write_rounds(&path, 0..2);
         let mut w = JournalWriter::open_append(&path, 8, file_len(&path)).unwrap();
         w.append(&arrival(9, 2.2, 3)).unwrap(); // flushed, unsealed
         drop(w);
-        let at = scan_meta(&path).unwrap().outcomes[0];
-        compact(&path, &boundary_snapshot(1), &at).unwrap();
+        compact(&path, &boundary_snapshot(1), &marks[0]).unwrap();
         let meta = scan_meta(&path).unwrap();
         assert!(
             meta.discarded_bytes > 0,
@@ -1169,19 +1171,21 @@ mod tests {
     #[test]
     fn torn_tail_after_compaction_recovers_to_the_header() {
         let path = temp_path("compact-torn");
-        write_rounds(&path, 0..2);
+        let (_, marks) = write_rounds(&path, 0..2);
         let snap = boundary_snapshot(2);
-        compact(&path, &snap, &scan_meta(&path).unwrap().outcomes[1]).unwrap();
+        compact(&path, &snap, &marks[1]).unwrap();
         // Tear everything after the header: the base alone remains.
+        let torn = br#"{"event":"arrival","seq":8,"at":2.1,"bi"#;
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(br#"{"event":"arrival","seq":8,"at":2.1,"bi"#)
-                .unwrap();
+            f.write_all(torn).unwrap();
         }
         let rec = recover_meta(&path).unwrap();
-        assert_eq!(rec.base, Some(snap));
+        assert_eq!(rec.base, Base::Compaction);
+        assert_eq!(base_of(&path), Some(snap));
         assert!(committed_events(&path, &rec).is_empty());
-        assert_eq!(rec.discarded_bytes, 0);
+        assert_eq!(rec.discarded_bytes, torn.len() as u64);
+        assert_eq!(scan_meta(&path).unwrap().discarded_bytes, 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1198,45 +1202,35 @@ mod tests {
             f.write_all(line.as_bytes()).unwrap();
         }
         let rec = scan_meta(&path).unwrap();
-        assert_eq!(rec.base, None);
+        assert_eq!(rec.base, Base::None);
         assert_eq!(committed_events(&path, &rec).len(), 4);
         assert!(rec.discarded_bytes > 0);
         std::fs::remove_file(&path).ok();
     }
-    /// What a recovery did to its sink, in order.
-    #[derive(Debug, Default, PartialEq)]
-    struct Log {
-        restored: Vec<(u64, OutcomeMark)>,
-        applied: Vec<JournalEvent>,
-    }
-
-    impl Replay for Log {
-        fn restore(&mut self, snapshot: &Snapshot, at: OutcomeMark) {
-            self.restored.push((snapshot.events, at));
-            self.applied.clear();
-        }
-
-        fn apply(&mut self, event: &JournalEvent) -> std::io::Result<()> {
-            self.applied.push(event.clone());
-            Ok(())
-        }
-    }
 
     /// Runs the recovery pass with every hold from 1 event up; each must
-    /// leave the sink and the marks as the default hold does.
+    /// leave the sink and the result as the default hold does, reading no
+    /// less.
     fn replay_at_every_hold(path: &Path, snapshot: Option<Snapshot>) -> (Log, Recovery) {
         let mut want = Log::default();
-        let (meta, rec) = pass(path, snapshot.clone(), Some(&mut want), HOLD_EVENTS).unwrap();
+        let rec = pass(path, snapshot.clone(), Some(&mut want), HOLD_EVENTS).unwrap();
+        let scan = scan_meta(path).unwrap();
+        let commit = |r: &Recovery| {
+            let bytes = (r.suffix_bytes, r.committed_bytes, r.discarded_bytes);
+            (bytes, r.committed_events)
+        };
         assert_eq!(
-            meta,
-            scan_meta(path).unwrap(),
-            "a replay marks as a scan does"
+            commit(&rec),
+            commit(&scan),
+            "a replay commits as a scan does"
         );
         for hold in 1..6 {
             let mut log = Log::default();
-            let (held_meta, held_rec) = pass(path, snapshot.clone(), Some(&mut log), hold).unwrap();
-            assert_eq!((&log, &held_meta), (&want, &meta), "hold {hold}");
-            assert!(held_rec.bytes_read >= rec.bytes_read, "hold {hold}");
+            let held = pass(path, snapshot.clone(), Some(&mut log), hold).unwrap();
+            assert_eq!(log, want, "hold {hold}");
+            let bytes_read = rec.bytes_read;
+            assert_eq!(Recovery { bytes_read, ..held }, rec, "hold {hold}");
+            assert!(held.bytes_read >= rec.bytes_read, "hold {hold}");
         }
         (want, rec)
     }
@@ -1244,7 +1238,7 @@ mod tests {
     #[test]
     fn recovery_applies_committed_rounds_at_any_hold() {
         let path = temp_path("hold");
-        let all = write_rounds(&path, 0..3);
+        let (all, _) = write_rounds(&path, 0..3);
         // An uncommitted round: two arrivals and a seal, no outcome.
         let mut w = JournalWriter::open_append(&path, 12, file_len(&path)).unwrap();
         for ev in &round_events(3)[..3] {
@@ -1264,10 +1258,9 @@ mod tests {
     #[test]
     fn recovery_fast_forwards_from_a_snapshot_on_a_commit_boundary() {
         let path = temp_path("hold-snap");
-        let all = write_rounds(&path, 0..3);
-        let meta = scan_meta(&path).unwrap();
+        let (all, marks) = write_rounds(&path, 0..3);
         let (log, rec) = replay_at_every_hold(&path, Some(boundary_snapshot(2)));
-        assert_eq!(log.restored, [(8, meta.outcomes[1])]);
+        assert_eq!(log.restored, [(boundary_snapshot(2), marks[1])]);
         assert_eq!(log.applied, all[8..]);
         assert_eq!((rec.base, rec.events_replayed), (Base::Snapshot, 4));
         assert_eq!(rec.bytes_read, file_len(&path), "one pass");
@@ -1289,17 +1282,22 @@ mod tests {
     #[test]
     fn recovery_restores_a_compaction_base() {
         let path = temp_path("hold-base");
-        let all = write_rounds(&path, 0..3);
+        let (all, marks) = write_rounds(&path, 0..3);
         let base = boundary_snapshot(1);
-        compact(&path, &base, &scan_meta(&path).unwrap().outcomes[0]).unwrap();
-        let meta = scan_meta(&path).unwrap();
-        let at_base = OutcomeMark::of_base(&base, meta.suffix_bytes);
+        let stats = compact(&path, &base, &marks[0]).unwrap();
+        let at_base = OutcomeMark::of_base(&base, stats.suffix_bytes);
+        // Round 1's mark, moved by the prefix the compaction swapped for
+        // its header.
+        let at_round_1 = OutcomeMark {
+            bytes: marks[1].bytes - marks[0].bytes + stats.suffix_bytes,
+            ..marks[1]
+        };
         // No snapshot file, or one behind the base: the base.
         let mut behind = boundary_snapshot(1);
         behind.events = 2;
         for snapshot in [None, Some(behind)] {
             let (log, rec) = replay_at_every_hold(&path, snapshot);
-            assert_eq!(log.restored, [(4, at_base)]);
+            assert_eq!(log.restored, [(base.clone(), at_base)]);
             assert_eq!(log.applied, all[4..]);
             assert_eq!((rec.base, rec.events_replayed), (Base::Compaction, 8));
         }
@@ -1308,14 +1306,60 @@ mod tests {
         let (log, rec) = replay_at_every_hold(&path, Some(base.clone()));
         assert_eq!(
             (log.restored, rec.base),
-            (vec![(4, at_base)], Base::Snapshot)
+            (vec![(base.clone(), at_base)], Base::Snapshot)
         );
         let (log, rec) = replay_at_every_hold(&path, Some(boundary_snapshot(2)));
-        assert_eq!(log.restored, [(4, at_base), (8, meta.outcomes[0])]);
+        assert_eq!(
+            log.restored,
+            [(base, at_base), (boundary_snapshot(2), at_round_1)]
+        );
         assert_eq!(log.applied, all[8..]);
         assert_eq!(
             (rec.base, rec.bytes_read),
             (Base::Snapshot, file_len(&path))
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `path` holds `bytes`, and no temp file is left beside it.
+    fn assert_holds(path: &Path, bytes: &[u8]) {
+        assert_eq!(std::fs::read(path).unwrap(), bytes);
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        assert!(!Path::new(&tmp).exists(), "the temp file was left behind");
+    }
+
+    #[test]
+    fn an_abandoned_or_failed_replace_leaves_the_target_and_no_temp_file() {
+        let path = temp_path("replace-undone");
+        std::fs::write(&path, b"old\n").unwrap();
+        let eof = std::io::ErrorKind::UnexpectedEof;
+        for (end, want) in [(Ok(false), Ok(false)), (Err(eof.into()), Err(eof))] {
+            let replaced = replace_file(&path, ".tmp", |file| {
+                file.write_all(b"half of the new")?;
+                end
+            });
+            assert_eq!(replaced.map_err(|e| e.kind()), want);
+            assert_holds(&path, b"old\n");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_completed_replace_swaps_the_file() {
+        let path = temp_path("replace-done");
+        std::fs::write(&path, b"old\n").unwrap();
+        let pinned = Commit::of(&File::open(&path).unwrap(), 0).unwrap();
+        let replaced = replace_file(&path, ".tmp", |file| {
+            file.write_all(b"new\n")?;
+            Ok(true)
+        });
+        assert!(replaced.unwrap());
+        assert_holds(&path, b"new\n");
+        assert_ne!(
+            Commit::of(&File::open(&path).unwrap(), 0).unwrap(),
+            pinned,
+            "a new file is renamed into place"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -47,6 +47,9 @@ for run in $(seq 1 20); do
 done
 echo "ci: arena_zero_alloc green on 20 back-to-back default-harness runs"
 cargo clippy --all-targets -- -D warnings
+# Rustdoc with warnings as errors: an intra-doc link to a private or
+# deleted item fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Smoke the sharded-market experiment: a 10⁵-bidder (scale 0.1) budgeted
 # round through partition → per-shard solve → champion reconciliation.

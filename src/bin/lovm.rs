@@ -32,17 +32,19 @@
 //! into its own `LOVM_JOURNAL` directory (which must differ from the
 //! leader's), replays every streamed round through the same code path
 //! the leader ran — verifying each journaled digest bitwise — installs
-//! the fresh bootstrap the leader sends after each compaction, and, when
-//! the leader's connection drops, promotes itself to a `serve` on
-//! `--serve-addr` (without the flag it just exits). Journals are bounded
-//! on disk by setting `LOVM_COMPACT`: every that-many sealed rounds the
-//! prefix covered by the latest snapshot is compacted away.
+//! the fresh bootstrap the leader sends after each compaction. When the
+//! feed ends it connects again and follows from a fresh bootstrap; only
+//! when the leader refuses the connection does it promote itself to a
+//! `serve` on `--serve-addr` (without the flag it just exits). Journals
+//! are bounded on disk by setting `LOVM_COMPACT`: every that-many sealed
+//! rounds the prefix covered by the latest snapshot is compacted away.
 
 use metrics::json::JsonValue;
 use simrng::{derive_seed, rngs::StdRng, RngExt, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
+use std::time::Duration;
 use sustainable_fl::core::offline::{competitive_ratio, offline_benchmark};
 use sustainable_fl::core::serve::{
     self, compact_every_from_env, journal_dir_from_env, snapshot_every_from_env, MarketServer,
@@ -444,23 +446,37 @@ fn run_server(cfg: ServeConfig) -> Result<(), String> {
     server.run().map_err(|e| e.to_string())
 }
 
+/// Pause between a feed's end and the next connect to the leader.
+const RECONNECT_PAUSE: Duration = Duration::from_millis(100);
+
 /// Attaches a live replica to a serving leader (see the module docs):
-/// `serve::follow` keeps the replica, logging each commit point, and when
-/// the leader's feed ends the replica promotes to a full server on
+/// `serve::follow` keeps the replica, logging each commit point. A feed
+/// can end while its leader still serves, so each end connects again and
+/// follows from a fresh bootstrap; only a refused connection means the
+/// leader is gone, and then the replica promotes to a full server on
 /// `--serve-addr`.
 fn follow(args: &Args) -> Result<(), String> {
     // The replica's session config is the one its promoted server will
     // open, so promotion replays the same files under the same settings.
     let cfg = serve_config(args, &args.serve_addr);
     std::fs::create_dir_all(&cfg.journal_dir).map_err(|e| e.to_string())?;
-    let stream =
+    let mut stream =
         TcpStream::connect(&args.addr).map_err(|e| format!("connect {}: {e}", args.addr))?;
     let log = |applied, s: &serve::MarketSession| {
         let (rounds, digest) = (s.rounds_sealed(), s.digest());
         eprintln!("{applied:?}: replica at {rounds} rounds, digest {digest:016x}");
     };
-    serve::follow(stream, &args.session, &cfg.session(&args.session), log)
-        .map_err(|e| format!("replica: {e}"))?;
+    loop {
+        serve::follow(stream, &args.session, &cfg.session(&args.session), log)
+            .map_err(|e| format!("replica: {e}"))?;
+        std::thread::sleep(RECONNECT_PAUSE);
+        stream = match TcpStream::connect(&args.addr) {
+            Ok(stream) => stream,
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => break,
+            Err(e) => return Err(format!("reconnect {}: {e}", args.addr)),
+        };
+        eprintln!("feed ended; following {} again", args.addr);
+    }
     if args.serve_addr.is_empty() {
         eprintln!("leader gone; exiting (no --serve-addr)");
         return Ok(());

@@ -464,6 +464,7 @@ fn rounds_and_tails_past_the_hold_cap_recover() {
             bytes_read: committed.len() as u64 + tail + big_round,
             events_replayed: events,
             discarded_bytes: tail,
+            suffix_bytes: 0,
             committed_bytes: committed.len() as u64,
             committed_events: events,
         }
@@ -497,6 +498,7 @@ fn recovery_reads_the_committed_journal_once() {
             bytes_read: len,
             events_replayed: all,
             discarded_bytes: 0,
+            suffix_bytes: 0,
             committed_bytes: len,
             committed_events: all,
         }
@@ -514,6 +516,7 @@ fn recovery_reads_the_committed_journal_once() {
             bytes_read: len,
             events_replayed: round_events,
             discarded_bytes: 0,
+            suffix_bytes: 0,
             committed_bytes: len,
             committed_events: all,
         }
@@ -525,11 +528,13 @@ fn recovery_reads_the_committed_journal_once() {
     let mut cfg = session_cfg(&compacted, 2);
     cfg.compact_every = 2;
     drive(&mut MarketSession::open(cfg.clone()).unwrap(), 0..5);
+    let header = line_lengths(&std::fs::read(&cfg.journal).unwrap())[0] as u64;
     let want = |base| Recovery {
         base,
         bytes_read: std::fs::metadata(&cfg.journal).unwrap().len(),
         events_replayed: round_events,
         discarded_bytes: 0,
+        suffix_bytes: header,
         committed_bytes: std::fs::metadata(&cfg.journal).unwrap().len(),
         committed_events: 5 * round_events,
     };
@@ -553,6 +558,7 @@ fn recovery_reads_the_committed_journal_once() {
             bytes_read: 2 * len,
             events_replayed: 2 * round_events,
             discarded_bytes: 0,
+            suffix_bytes: 0,
             committed_bytes: len,
             committed_events: 2 * round_events,
         }

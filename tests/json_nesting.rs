@@ -8,7 +8,7 @@ use auction::outcome::Award;
 use bench::harness::BenchResult;
 use ingest::events::Event;
 use ingest::{AdmitClass, CollectorState, StreamTotals};
-use journal::{JournalEvent, JournalWriter, Snapshot};
+use journal::{JournalEvent, JournalWriter, OutcomeMark, Snapshot};
 use metrics::json::{JsonValue, MAX_DEPTH};
 
 /// Levels of arrays and objects; scalars are depth 0.
@@ -83,10 +83,16 @@ fn documents() -> Vec<(&'static str, String)> {
         w.append(ev).unwrap();
     }
     w.sync().unwrap();
+    // The mark of the round's outcome line, from the writer's commit.
+    let at = OutcomeMark {
+        events: w.events(),
+        round: 1,
+        digest: 0x1234_5678_9abc_def0,
+        bytes: w.commit().bytes,
+    };
     drop(w);
     let mut snap = snapshot();
     snap.events = 3;
-    let at = journal::scan_meta(&path).unwrap().outcomes[0];
     journal::compact(&path, &snap, &at).unwrap();
     let committed = journal::scan_meta(&path).unwrap().committed_bytes as usize;
     let text = std::fs::read_to_string(&path).unwrap();

@@ -8,13 +8,17 @@
 //!
 //! Each child runs with a pinned environment. Readiness is the child's
 //! own `listening on` stdout line, and `Child::kill` is the SIGKILL.
+//!
+//! A follower whose feed ends while its leader still listens follows
+//! again rather than promoting; that test's leader is a listener in the
+//! test itself.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::time::Duration;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
+use std::time::{Duration, Instant};
 
 const LOVM: &str = env!("CARGO_BIN_EXE_lovm");
 
@@ -223,6 +227,74 @@ fn promoted_follower_continues_byte_identically() {
     assert_eq!(sealed, with_event(&expected, "sealed"));
     assert_eq!(sealed.len(), 8);
     assert_eq!(with_event(&after, "state"), with_event(&expected, "state"));
+    drop(follower);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The next connection `listener` accepts within [`PATIENCE`], with the
+/// request line it sends first; `None` when none arrives.
+fn accept_follow(listener: &TcpListener) -> Option<(TcpStream, String)> {
+    listener.set_nonblocking(true).unwrap();
+    let deadline = Instant::now() + PATIENCE;
+    let conn = loop {
+        match listener.accept() {
+            Ok((conn, _)) => break conn,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(_) => return None,
+        }
+    };
+    conn.set_nonblocking(false).unwrap();
+    conn.set_read_timeout(Some(PATIENCE)).unwrap();
+    let mut request = String::new();
+    BufReader::new(&conn).read_line(&mut request).unwrap();
+    Some((conn, request))
+}
+
+/// A leader's feed can end while the leader still serves. Here a leader
+/// that still listens sends an empty bootstrap and `live`, then closes the
+/// feed: `lovm follow` connects again and asks to follow, and it promotes
+/// itself only once the leader stops listening, and then answers `hello`.
+#[test]
+fn a_follower_promotes_only_when_the_leader_refuses_connections() {
+    let root = temp_dir("refused");
+    let leader = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = leader.local_addr().unwrap().to_string();
+    let mut follower = Lovm::spawn(lovm(&root.join("replica"), 0).args([
+        "follow",
+        "--addr",
+        &addr,
+        "--session",
+        "repl",
+        "--serve-addr",
+        "127.0.0.1:0",
+        "--v",
+        "20",
+        "--budget",
+        "2",
+    ]));
+    let follow = "{\"cmd\":\"follow\",\"session\":\"repl\"}\n";
+    let (mut feed, request) = accept_follow(&leader).expect("a follow");
+    assert_eq!(request, follow);
+    feed.write_all(b"{\"event\":\"bootstrap\",\"session\":\"repl\",\"bytes\":0}\n")
+        .unwrap();
+    feed.write_all(b"{\"event\":\"live\"}\n").unwrap();
+    drop(feed);
+
+    let (again, request) = accept_follow(&leader).expect("a second follow after the feed ended");
+    assert_eq!(request, follow);
+    assert!(
+        matches!(follower.stdout.try_recv(), Err(TryRecvError::Empty)),
+        "the follower promoted while its leader still listened"
+    );
+    // The listener goes first, so the next connect is refused.
+    drop(leader);
+    drop(again);
+    let promoted = follower.listening();
+    let welcome = exchange(&promoted, &[r#"{"cmd":"hello","session":"repl"}"#], 1);
+    assert!(welcome[0].contains(r#""event":"welcome""#), "{welcome:?}");
+    assert!(welcome[0].contains(r#""rounds":0"#), "{welcome:?}");
     drop(follower);
     std::fs::remove_dir_all(&root).ok();
 }
